@@ -135,6 +135,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// FinalizeSeed is the seed every trainer binarizes class memory with
+// (Pipeline.Fit, the online trainer, tenant feedback rounds), so a model's
+// binarization is reproducible from its config alone.
+func (c Config) FinalizeSeed() uint64 { return c.Seed ^ 0xf1a1 }
+
 // Pipeline is a feature front-end plus an HDC classifier.
 type Pipeline struct {
 	cfg     Config
@@ -470,7 +475,7 @@ func (p *Pipeline) FitContext(ctx context.Context, imgs []*Image, labels []int, 
 	if err != nil {
 		return err
 	}
-	m.Finalize(p.cfg.Seed ^ 0xf1a1)
+	m.Finalize(p.cfg.FinalizeSeed())
 	p.model = m
 	return nil
 }
@@ -485,7 +490,7 @@ func (p *Pipeline) FitFeatures(feats []*hv.Vector, labels []int, numClasses int)
 	if err != nil {
 		return err
 	}
-	m.Finalize(p.cfg.Seed ^ 0xf1a1)
+	m.Finalize(p.cfg.FinalizeSeed())
 	p.model = m
 	return nil
 }

@@ -365,7 +365,10 @@ func FleetBenchData(o Options) (*FleetBenchReport, error) {
 		}
 		merger := online.NewMerger()
 		mergeRound := func() error {
-			base := regs[0].Live().Model
+			base, err := regs[0].Live().Model()
+			if err != nil {
+				return err
+			}
 			fp := base.Fingerprint()
 			for _, tr := range trainers {
 				if dl := tr.Delta(); dl != nil {
@@ -411,7 +414,11 @@ func FleetBenchData(o Options) (*FleetBenchReport, error) {
 			// Prequential: predict with the fleet's live model, then feed
 			// the sample to one trainer — split round-robin across the
 			// fleet, so no single accumulator sees the whole stream.
-			if regs[0].Live().Model.Predict(f) == label {
+			live, err := regs[0].Live().Model()
+			if err != nil {
+				return run, err
+			}
+			if live.Predict(f) == label {
 				correct++
 				window++
 				if i < preDrift {

@@ -156,7 +156,11 @@ func OnlineBenchData(o Options) (*OnlineBenchReport, error) {
 			label = 1 - label
 		}
 		// Prequential evaluation: predict first, then learn.
-		if reg.Live().Model.Predict(f) == label {
+		live, err := reg.Live().Model()
+		if err != nil {
+			return nil, err
+		}
+		if live.Predict(f) == label {
 			adaptOK++
 		}
 		if frozen.Predict(f) == label {

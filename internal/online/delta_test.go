@@ -178,7 +178,7 @@ func TestDecodeDeltaHostile(t *testing.T) {
 func TestApplyDeltaMatchesDirectUpdate(t *testing.T) {
 	cs := newClusterStream(5, 0.1)
 	reg := seededRegistry(t, cs, identity)
-	base := reg.Live().Model
+	base := modelOf(t, reg.Live())
 	fp := base.Fingerprint()
 
 	d := NewDelta("r", fp, 1, testD, 2)
@@ -258,7 +258,7 @@ func TestAdoptGate(t *testing.T) {
 
 	// An anti-model (negated class memory) predicts everything wrong.
 	live := reg.Live()
-	bad := live.Model.Clone()
+	bad := modelOf(t, live).Clone()
 	for c := range bad.Classes {
 		for i := range bad.Classes[c] {
 			bad.Classes[c][i] = -bad.Classes[c][i]
@@ -274,7 +274,7 @@ func TestAdoptGate(t *testing.T) {
 	}
 
 	// An identical candidate ties on holdout and must be adopted.
-	id, outcome, err = tr.Adopt(testConfig(), live.Model.Clone())
+	id, outcome, err = tr.Adopt(testConfig(), modelOf(t, live).Clone())
 	if err != nil || outcome != "promoted" || id == 0 {
 		t.Fatalf("tie candidate: id=%d outcome=%q err=%v, want promoted", id, outcome, err)
 	}
@@ -282,7 +282,7 @@ func TestAdoptGate(t *testing.T) {
 		t.Fatal("adoption did not promote the candidate")
 	}
 	// The delta rebased onto the adopted model.
-	if d := tr.Delta(); d == nil || d.Base != reg.Live().Model.Fingerprint() || d.Samples() != 0 {
+	if d := tr.Delta(); d == nil || d.Base != modelOf(t, reg.Live()).Fingerprint() || d.Samples() != 0 {
 		t.Fatalf("delta after adoption = %+v, want empty accumulator rebased on the new live model", d)
 	}
 	st := tr.Stats()
@@ -294,7 +294,7 @@ func TestAdoptGate(t *testing.T) {
 func TestFingerprintSensitivity(t *testing.T) {
 	cs := newClusterStream(9, 0.1)
 	reg := seededRegistry(t, cs, identity)
-	m := reg.Live().Model
+	m := modelOf(t, reg.Live())
 	fp := m.Fingerprint()
 	if m.Clone().Fingerprint() != fp {
 		t.Fatal("clone fingerprints differently")

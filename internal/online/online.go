@@ -295,23 +295,36 @@ func (t *Trainer) Delta() *Delta {
 
 // liveFingerprint returns the live model's content fingerprint, cached by
 // registry version ID so steady-state Steps don't rehash the model.
-func (t *Trainer) liveFingerprint(live *registry.Version) uint64 {
-	if t.fpVersion != live.ID || t.fpVersion == 0 {
-		t.fpVersion, t.fpValue = live.ID, live.Model.Fingerprint()
+func (t *Trainer) liveFingerprint(id uint64, m *hdc.Model) uint64 {
+	if t.fpVersion != id || t.fpVersion == 0 {
+		t.fpVersion, t.fpValue = id, m.Fingerprint()
 	}
 	return t.fpValue
+}
+
+// live returns the registry's live version ID and model, or (0, nil) when
+// nothing is live (or its model cannot be materialized).
+func (t *Trainer) live() (uint64, *hdc.Model) {
+	v := t.reg.Live()
+	if v == nil {
+		return 0, nil
+	}
+	m, err := v.Model()
+	if err != nil {
+		return 0, nil
+	}
+	return v.ID, m
 }
 
 // rebaseDelta resets the accumulator onto the (new) live model: evidence
 // gathered against the old base is either already inside the new model or
 // no longer safe to fold in, so the epoch advances and the sums clear.
 // Callers hold stepMu.
-func (t *Trainer) rebaseDelta(live *registry.Version) {
+func (t *Trainer) rebaseDelta(id uint64, m *hdc.Model) {
 	t.deltaMu.Lock()
 	defer t.deltaMu.Unlock()
 	t.epoch++
-	t.delta = NewDelta(t.cfg.Replica, t.liveFingerprint(live), t.epoch,
-		live.Model.D, live.Model.K)
+	t.delta = NewDelta(t.cfg.Replica, t.liveFingerprint(id, m), t.epoch, m.D, m.K)
 }
 
 // Step processes one feedback sample synchronously: it updates the drift
@@ -322,11 +335,11 @@ func (t *Trainer) rebaseDelta(live *registry.Version) {
 func (t *Trainer) Step(s Sample) uint64 {
 	t.stepMu.Lock()
 	defer t.stepMu.Unlock()
-	live := t.reg.Live()
-	if live == nil || s.Feature == nil || s.Feature.D() != live.Model.D {
+	liveID, live := t.live()
+	if live == nil || s.Feature == nil || s.Feature.D() != live.D {
 		return 0 // nothing to adapt, or sample incompatible with live model
 	}
-	if s.Label < 0 || s.Label >= live.Model.K {
+	if s.Label < 0 || s.Label >= live.K {
 		return 0
 	}
 	t.seen.Add(1)
@@ -334,7 +347,7 @@ func (t *Trainer) Step(s Sample) uint64 {
 
 	// Drift signal: the live model's top-1 minus top-2 similarity on this
 	// sample. Margins shrink as class memories drift off the data.
-	scores := live.Model.Scores(s.Feature)
+	scores := live.Scores(s.Feature)
 	pred, top1, top2 := 0, -1.0, -1.0
 	for c, sc := range scores {
 		if sc > top1 {
@@ -372,10 +385,10 @@ func (t *Trainer) Step(s Sample) uint64 {
 		// Rebase lazily on first use and whenever the live model changed
 		// underneath us (an operator promote/rollback does not go through
 		// round or Adopt, but still invalidates the accumulated evidence).
-		if t.delta == nil || t.delta.Base != t.liveFingerprint(live) {
+		if t.delta == nil || t.delta.Base != t.liveFingerprint(liveID, live) {
 			t.epoch++
-			t.delta = NewDelta(t.cfg.Replica, t.liveFingerprint(live), t.epoch,
-				live.Model.D, live.Model.K)
+			t.delta = NewDelta(t.cfg.Replica, t.liveFingerprint(liveID, live), t.epoch,
+				live.D, live.K)
 		}
 		t.delta.Add(s.Feature, s.Label, pred)
 		t.deltaMu.Unlock()
@@ -404,7 +417,7 @@ func (t *Trainer) Step(s Sample) uint64 {
 		return 0 // refinement arrives via Adopt, not local rounds
 	}
 	if len(t.batch) >= t.cfg.BatchSize || (drifted && len(t.batch) > 0) {
-		return t.round(live)
+		return t.round(liveID, live)
 	}
 	return 0
 }
@@ -414,12 +427,12 @@ func (t *Trainer) Step(s Sample) uint64 {
 // records a "train_round" trace (mini_batch → shadow_eval → promote spans
 // with an outcome attribute) so /debug/traces explains why a candidate
 // was or was not promoted.
-func (t *Trainer) round(live *registry.Version) uint64 {
+func (t *Trainer) round(liveID uint64, live *hdc.Model) uint64 {
 	t.rounds.Add(1)
 	obsRounds.Inc()
 	tr := trace.New("train_round", "")
 	defer tr.Finish()
-	tr.SetAttr("base_version", strconv.FormatUint(live.ID, 10))
+	tr.SetAttr("base_version", strconv.FormatUint(liveID, 10))
 	reject := func(outcome string) uint64 {
 		t.rejections.Add(1)
 		obsRejections.Inc()
@@ -437,7 +450,7 @@ func (t *Trainer) round(live *registry.Version) uint64 {
 	bsp := tr.StartSpan("mini_batch")
 	bsp.SetAttrInt("samples", int64(len(feats)))
 	bsp.SetAttrInt("epochs", int64(t.cfg.Epochs))
-	cand := live.Model.Clone()
+	cand := live.Clone()
 	for e := 0; e < t.cfg.Epochs; e++ {
 		mistakes, err := cand.Update(feats, labels, t.cfg.Opts)
 		if err != nil {
@@ -459,7 +472,7 @@ func (t *Trainer) round(live *registry.Version) uint64 {
 	}
 	esp := tr.StartSpan("shadow_eval")
 	esp.SetAttrInt("holdout", int64(len(t.holdout)))
-	liveAcc := accuracy(live.Model, t.holdout)
+	liveAcc := accuracy(live, t.holdout)
 	candAcc := accuracy(cand, t.holdout)
 	esp.SetAttr("live_acc", strconv.FormatFloat(liveAcc, 'g', 4, 64))
 	esp.SetAttr("cand_acc", strconv.FormatFloat(candAcc, 'g', 4, 64))
@@ -469,7 +482,7 @@ func (t *Trainer) round(live *registry.Version) uint64 {
 	}
 
 	psp := tr.StartSpan("promote")
-	cand.Finalize(t.cfg.Pipe.Seed ^ 0xf1a1)
+	cand.Finalize(t.cfg.Pipe.FinalizeSeed())
 	id, err := t.reg.Put(t.cfg.Pipe, cand)
 	if err != nil {
 		psp.End()
@@ -489,8 +502,8 @@ func (t *Trainer) round(live *registry.Version) uint64 {
 	// The world changed: old margins describe the previous model, and the
 	// delta's evidence is now inside the live class memory.
 	t.marginN, t.marginPos = 0, 0
-	if nowLive := t.reg.Live(); nowLive != nil {
-		t.rebaseDelta(nowLive)
+	if id, m := t.live(); m != nil {
+		t.rebaseDelta(id, m)
 	}
 	return id
 }
@@ -509,11 +522,10 @@ func (t *Trainer) Adopt(cfg hdface.Config, cand *hdc.Model) (id uint64, outcome 
 	tr := trace.New("delta_adopt", "")
 	defer tr.Finish()
 
-	live := t.reg.Live()
-	if live != nil && len(t.holdout) >= t.cfg.MinHoldout {
+	if _, live := t.live(); live != nil && len(t.holdout) >= t.cfg.MinHoldout {
 		esp := tr.StartSpan("shadow_eval")
 		esp.SetAttrInt("holdout", int64(len(t.holdout)))
-		liveAcc := accuracy(live.Model, t.holdout)
+		liveAcc := accuracy(live, t.holdout)
 		candAcc := accuracy(cand, t.holdout)
 		esp.SetAttr("live_acc", strconv.FormatFloat(liveAcc, 'g', 4, 64))
 		esp.SetAttr("cand_acc", strconv.FormatFloat(candAcc, 'g', 4, 64))
@@ -550,8 +562,8 @@ func (t *Trainer) Adopt(cfg hdface.Config, cand *hdc.Model) (id uint64, outcome 
 	t.adoptions.Add(1)
 	obsAdoptions.Inc()
 	t.marginN, t.marginPos = 0, 0
-	if nowLive := t.reg.Live(); nowLive != nil {
-		t.rebaseDelta(nowLive)
+	if id, m := t.live(); m != nil {
+		t.rebaseDelta(id, m)
 	}
 	return id, outcome, nil
 }

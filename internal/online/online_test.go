@@ -69,6 +69,16 @@ func seededRegistry(t *testing.T, cs *clusterStream, labelOf func(int) int) *reg
 	return reg
 }
 
+// modelOf returns a version's model.
+func modelOf(t *testing.T, v *registry.Version) *hdc.Model {
+	t.Helper()
+	m, err := v.Model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func identity(l int) int { return l }
 func flipped(l int) int  { return 1 - l }
 
@@ -108,7 +118,7 @@ func TestStepAdaptsToLabelDrift(t *testing.T) {
 	correct := 0
 	for i := 0; i < 50; i++ {
 		s := cs.sample(i % 2)
-		if live.Model.Predict(s.Feature) == flipped(s.Label) {
+		if modelOf(t, live).Predict(s.Feature) == flipped(s.Label) {
 			correct++
 		}
 	}

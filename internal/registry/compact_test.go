@@ -86,7 +86,7 @@ func TestGetRacesGC(t *testing.T) {
 				v, err := r.Get(id)
 				switch {
 				case err == nil:
-					if v == nil || v.ID != id || v.Model == nil {
+					if m, merr := v.Model(); v.ID != id || merr != nil || m == nil {
 						t.Errorf("Get(%d) returned malformed version %+v", id, v)
 						return
 					}
@@ -111,7 +111,7 @@ func TestGetRacesGC(t *testing.T) {
 func TestOpenCompactRoundTrip(t *testing.T) {
 	cfg := testConfig()
 	dir := t.TempDir()
-	r, err := OpenCompact(dir, 0)
+	r, err := NewCache(1<<20).Open(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestOpenCompactRoundTrip(t *testing.T) {
 		t.Fatalf("reloaded live = %+v, want id %d", live, id)
 	}
 	for c := range m.Bin {
-		if !reflect.DeepEqual(live.Model.Bin[c].Words(), m.Bin[c].Words()) {
+		if !reflect.DeepEqual(modelOf(t, live).Bin[c].Words(), m.Bin[c].Words()) {
 			t.Fatalf("class %d binarised memory not bit-exact across compact reload", c)
 		}
 	}
@@ -191,7 +191,7 @@ func TestMigrateV2(t *testing.T) {
 		if err != nil {
 			t.Fatalf("version %d lost in migration: %v", id, err)
 		}
-		if !reflect.DeepEqual(v.Model.Bin[0].Words(), words) {
+		if !reflect.DeepEqual(modelOf(t, v).Bin[0].Words(), words) {
 			t.Fatalf("version %d binarised memory changed in migration", id)
 		}
 	}

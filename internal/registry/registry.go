@@ -1,15 +1,23 @@
 // Package registry is a versioned store for trained hdface models built on
-// the hdface-model/v1 snapshot format. Versions carry only the trained
-// class memory (the hypervector bases are rematerialised from Config.Seed
-// by whoever serves them), so storing, promoting and rolling back models
-// is nearly free: a version file for a D=4096 binary classifier is a few
-// tens of kilobytes.
+// the hdface-model snapshot formats. Versions carry only the trained class
+// memory (the hypervector bases are rematerialised from Config.Seed by
+// whoever serves them), so storing, promoting and rolling back models is
+// nearly free: a version file for a D=4096 binary classifier is a few tens
+// of kilobytes.
+//
+// A registry runs in one of two payload modes, chosen by whether it has a
+// materialization Cache. Without one (Open, the single-model path) every
+// version is decoded at Open, Put keeps the exact float model it was given
+// and files are written as hdface-model/v1. With one (Cache.Open, one
+// tenant lineage among thousands) Open indexes headers only, Put writes the
+// compact hdface-model/v2 blob, and a version's class memory is decoded on
+// first use and may be evicted under the cache's byte budget.
 //
 // The live version sits behind an atomic.Pointer: readers on the serving
 // hot path call Live with no locks and can never observe a half-swapped
 // model — a promote or rollback publishes a fully constructed *Version in
 // one pointer store. All mutation (Put/Promote/Rollback) serialises on a
-// mutex; persistence uses same-directory temp files plus rename so a crash
+// mutex; persistence writes durably (temp file, fsync, rename) so a crash
 // mid-write never leaves a torn version where a daemon expects one.
 package registry
 
@@ -26,6 +34,7 @@ import (
 	"sync/atomic"
 
 	"hdface"
+	"hdface/internal/atomicfile"
 	"hdface/internal/hdc"
 	"hdface/internal/obs"
 	"hdface/internal/obs/trace"
@@ -45,6 +54,8 @@ const liveFile = "LIVE"
 // Sixteen levels of rollback is far beyond any operational need.
 const maxHistory = 16
 
+// The hdface_registry_* metrics describe the single-model registry only; a
+// registry with a Cache (a tenant lineage) leaves them alone.
 var (
 	obsLiveVersion = obs.NewGauge("hdface_registry_live_version",
 		"Currently live model version ID (0 = none).")
@@ -58,16 +69,67 @@ var (
 		"Model versions deleted by retention GC.")
 )
 
-// Version is one immutable trained model. The Model must not be mutated
+// Version is one immutable trained model. The model must not be mutated
 // after Put: the serving hot path reads it concurrently with no locks.
 type Version struct {
 	// ID is the monotonically increasing version number, unique within
 	// one registry for its whole lifetime (IDs of deleted versions are
 	// never reused).
 	ID uint64
-	// Model is the trained classifier for this version.
-	Model *hdc.Model
+
+	cache *Cache // nil: eager, mat is set at construction and never cleared
+	blob  []byte // lazy versions: the encoded snapshot, always resident
+
+	// Materialization gate: mat is the published decoded model (nil =
+	// not materialized); matMu serialises decoding so concurrent first
+	// users decode once. A sync.Once cannot be reset after eviction,
+	// hence the mutex + double-checked atomic pointer.
+	matMu sync.Mutex
+	mat   atomic.Pointer[hdc.Model]
+
+	// LRU bookkeeping, guarded by cache.mu.
+	lruPrev, lruNext *Version
+	inLRU            bool
+	matBytes         int64
 }
+
+// Model returns the version's trained classifier. An eager version returns
+// it directly; a lazy one decodes its blob on first use (once per version
+// and eviction, however many callers race) and errors, never panics, on a
+// corrupt payload.
+func (v *Version) Model() (*hdc.Model, error) {
+	if m := v.mat.Load(); m != nil {
+		if v.cache != nil {
+			v.cache.touch(v)
+		}
+		return m, nil
+	}
+	v.matMu.Lock()
+	defer v.matMu.Unlock()
+	if m := v.mat.Load(); m != nil {
+		v.cache.touch(v)
+		return m, nil
+	}
+	_, m, err := hdface.DecodeSnapshotAuto(bytes.NewReader(v.blob))
+	if err != nil {
+		return nil, fmt.Errorf("registry: version %d: %w", v.ID, err)
+	}
+	if m == nil {
+		return nil, fmt.Errorf("registry: version %d holds no trained model", v.ID)
+	}
+	v.matBytes = materializedBytes(m)
+	v.mat.Store(m)
+	v.cache.insert(v)
+	obsMaterializations.Inc()
+	return m, nil
+}
+
+// BlobBytes returns the size of a lazy version's always-resident blob (0
+// for an eager version, which keeps only its decoded model).
+func (v *Version) BlobBytes() int { return len(v.blob) }
+
+// Materialized reports whether the decoded model is currently in memory.
+func (v *Version) Materialized() bool { return v.mat.Load() != nil }
 
 // Info describes one stored version for listings.
 type Info struct {
@@ -81,7 +143,7 @@ type Registry struct {
 	mu       sync.Mutex
 	dir      string // "" = in-memory only
 	retain   int    // max versions kept; <=0 = unlimited
-	compact  bool   // persist new versions as hdface-model/v2
+	cache    *Cache // nil = eager single-model registry
 	cfg      hdface.Config
 	haveCfg  bool
 	versions map[uint64]*Version
@@ -90,31 +152,21 @@ type Registry struct {
 	live     atomic.Pointer[Version]
 }
 
-// Open creates a registry. With dir == "" it is purely in-memory. With a
-// directory it loads every v*.hdfs version file and the LIVE history; any
-// version file that fails to parse is a hard error — a corrupt registry
-// must be repaired by an operator, never silently served around. retain
-// bounds how many versions are kept on disk (<= 0 keeps all).
+// Open creates a single-model registry. With dir == "" it is purely
+// in-memory. With a directory it loads every v*.hdfs version file and the
+// LIVE history; any version file that fails to parse is a hard error — a
+// corrupt registry must be repaired by an operator, never silently served
+// around. retain bounds how many versions are kept on disk (<= 0 keeps
+// all).
 func Open(dir string, retain int) (*Registry, error) {
-	return open(dir, retain, false)
+	return open(dir, retain, nil)
 }
 
-// OpenCompact is Open, but new versions are persisted in the compact
-// hdface-model/v2 format (quantised accumulators + exact binarised memory,
-// ~8x smaller than v1 at D=2048). Existing files of either format are
-// loaded; GC and rollback treat both identically since they share the
-// version naming scheme. Note the quantisation means a version re-loaded
-// after a restart dequantises to q*scale — the binarised serving path is
-// unaffected, cosine scores move by at most one part in 32767.
-func OpenCompact(dir string, retain int) (*Registry, error) {
-	return open(dir, retain, true)
-}
-
-func open(dir string, retain int, compact bool) (*Registry, error) {
+func open(dir string, retain int, cache *Cache) (*Registry, error) {
 	r := &Registry{
 		dir:      dir,
 		retain:   retain,
-		compact:  compact,
+		cache:    cache,
 		versions: make(map[uint64]*Version),
 	}
 	if dir == "" {
@@ -141,19 +193,16 @@ func open(dir string, retain int, compact bool) (*Registry, error) {
 		if err != nil {
 			return nil, fmt.Errorf("registry: %w", err)
 		}
-		cfg, m, err := hdface.DecodeSnapshotAuto(bytes.NewReader(data))
+		v, cfg, err := r.decodeVersion(id, data)
 		if err != nil {
 			return nil, fmt.Errorf("registry: version %d: %w", id, err)
-		}
-		if m == nil {
-			return nil, fmt.Errorf("registry: version %d: snapshot holds no trained model", id)
 		}
 		if !r.haveCfg {
 			r.cfg, r.haveCfg = cfg, true
 		} else if err := Compatible(r.cfg, cfg); err != nil {
 			return nil, fmt.Errorf("registry: version %d: %w", id, err)
 		}
-		r.versions[id] = &Version{ID: id, Model: m}
+		r.versions[id] = v
 		if id > r.nextID {
 			r.nextID = id
 		}
@@ -161,8 +210,32 @@ func open(dir string, retain int, compact bool) (*Registry, error) {
 	if err := r.loadHistory(); err != nil {
 		return nil, err
 	}
+	for _, v := range r.versions {
+		r.account(v)
+	}
 	r.publish()
 	return r, nil
+}
+
+// decodeVersion builds a version from its file: fully decoded for an eager
+// registry, header-validated only for a lazy one (a corrupt payload then
+// surfaces at first materialization).
+func (r *Registry) decodeVersion(id uint64, data []byte) (*Version, hdface.Config, error) {
+	v := &Version{ID: id, cache: r.cache}
+	if r.cache != nil {
+		cfg, hasModel, _, err := hdface.SnapshotInfo(bytes.NewReader(data))
+		if err == nil && !hasModel {
+			err = errors.New("snapshot holds no trained model")
+		}
+		v.blob = data
+		return v, cfg, err
+	}
+	cfg, m, err := hdface.DecodeSnapshotAuto(bytes.NewReader(data))
+	if err == nil && m == nil {
+		err = errors.New("snapshot holds no trained model")
+	}
+	v.mat.Store(m)
+	return v, cfg, err
 }
 
 func parseVersionName(name string) (uint64, error) {
@@ -249,21 +322,49 @@ func (r *Registry) Put(cfg hdface.Config, m *hdc.Model) (uint64, error) {
 		return 0, err
 	}
 	id := r.nextID + 1
-	v := &Version{ID: id, Model: m}
+	v := &Version{ID: id, cache: r.cache}
+	var buf bytes.Buffer
+	var err error
+	switch {
+	case r.cache != nil:
+		err = hdface.EncodeSnapshotV2(&buf, cfg, m)
+		v.blob = buf.Bytes()
+	case r.dir != "":
+		err = hdface.EncodeSnapshot(&buf, cfg, m)
+		v.mat.Store(m)
+	default:
+		v.mat.Store(m)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("registry: encode version %d: %w", id, err)
+	}
 	if r.dir != "" {
-		if err := r.writeVersion(id, cfg, m); err != nil {
+		if err := r.write(fmt.Sprintf(versionPattern, id), buf.Bytes()); err != nil {
 			return 0, err
 		}
 	}
 	r.nextID = id
 	r.versions[id] = v
+	r.account(v)
 	r.gcLocked()
-	obsVersions.Set(float64(len(r.versions)))
 	return id, nil
+}
+
+// account records a newly indexed version in the cache, or in the
+// single-model gauge. Caller holds mu (or is Open).
+func (r *Registry) account(v *Version) {
+	if r.cache != nil {
+		r.cache.add(v)
+	} else {
+		obsVersions.Set(float64(len(r.versions)))
+	}
 }
 
 // ErrUnknownVersion reports a version ID the registry never allocated.
 var ErrUnknownVersion = errors.New("registry: unknown version")
+
+// ErrNoLive reports a registry with nothing promoted yet.
+var ErrNoLive = errors.New("registry: no live version")
 
 // GoneError reports a version that once existed but has since been deleted
 // by retention GC — the race a caller hits when it holds an ID across a Put
@@ -313,20 +414,16 @@ func (r *Registry) Promote(id uint64) error {
 		}
 		from = cur.ID
 	}
-	r.history = append(r.history, id)
-	if len(r.history) > maxHistory {
-		r.history = append(r.history[:0], r.history[len(r.history)-maxHistory:]...)
-	}
-	if r.dir != "" {
-		if err := r.writeHistory(); err != nil {
-			r.history = r.history[:len(r.history)-1]
-			return err
-		}
+	h := append(r.history[:len(r.history):len(r.history)], id)
+	if err := r.setHistory(r.capHistory(h)); err != nil {
+		return err
 	}
 	r.publish()
-	r.gcLocked()
-	obsPromotes.Inc()
-	swapTrace("promote", from, id)
+	r.gcLocked() // deletes only when Put could not make room (e.g. retain 1)
+	if r.cache == nil {
+		obsPromotes.Inc()
+		swapTrace("promote", from, id)
+	}
 	return nil
 }
 
@@ -353,17 +450,16 @@ func (r *Registry) Rollback() (uint64, error) {
 		return 0, fmt.Errorf("registry: Rollback: no previous version to roll back to")
 	}
 	popped := r.history[len(r.history)-1]
-	r.history = r.history[:len(r.history)-1]
-	if r.dir != "" {
-		if err := r.writeHistory(); err != nil {
-			r.history = append(r.history, popped)
-			return 0, err
-		}
+	if err := r.setHistory(r.history[:len(r.history)-1]); err != nil {
+		return 0, err
 	}
 	r.publish()
-	obsRollbacks.Inc()
-	swapTrace("rollback", popped, r.history[len(r.history)-1])
-	return r.history[len(r.history)-1], nil
+	live := r.history[len(r.history)-1]
+	if r.cache == nil {
+		obsRollbacks.Inc()
+		swapTrace("rollback", popped, live)
+	}
+	return live, nil
 }
 
 // Live returns the current live version, or nil if nothing has been
@@ -371,6 +467,20 @@ func (r *Registry) Rollback() (uint64, error) {
 // version is immutable.
 func (r *Registry) Live() *Version {
 	return r.live.Load()
+}
+
+// LiveModel returns the live version and its materialized model, or
+// ErrNoLive when nothing has been promoted.
+func (r *Registry) LiveModel() (*Version, *hdc.Model, error) {
+	v := r.live.Load()
+	if v == nil {
+		return nil, nil, ErrNoLive
+	}
+	m, err := v.Model()
+	if err != nil {
+		return nil, nil, err
+	}
+	return v, m, nil
 }
 
 // List returns stored versions in ascending ID order.
@@ -392,14 +502,53 @@ func (r *Registry) List() []Info {
 // publish rebuilds the live pointer from the history tail. Caller holds mu
 // (or is the not-yet-shared constructor).
 func (r *Registry) publish() {
-	if len(r.history) == 0 {
-		r.live.Store(nil)
-		obsLiveVersion.Set(0)
-		return
+	var v *Version
+	if len(r.history) > 0 {
+		v = r.versions[r.history[len(r.history)-1]]
 	}
-	id := r.history[len(r.history)-1]
-	r.live.Store(r.versions[id])
-	obsLiveVersion.Set(float64(id))
+	r.live.Store(v)
+	if r.cache == nil {
+		id := uint64(0)
+		if v != nil {
+			id = v.ID
+		}
+		obsLiveVersion.Set(float64(id))
+	}
+}
+
+// capHistory bounds a promote history: at maxHistory always, and one
+// below the retention bound while the versions overflow it. An unbounded
+// history would protect every version ever promoted from GC; leaving one
+// slot below retain lets the GC that runs in Put (history plus the newest
+// version protected) delete, so a Promote that follows finds the versions
+// within bounds and deletes nothing itself. Caller holds mu.
+func (r *Registry) capHistory(h []uint64) []uint64 {
+	keep := maxHistory
+	if r.retain > 0 && len(r.versions) > r.retain {
+		keep = min(keep, max(r.retain-1, 1))
+	}
+	if len(h) > keep {
+		h = h[len(h)-keep:]
+	}
+	return h
+}
+
+// setHistory persists h as the LIVE history and adopts it. On a failed
+// write the in-memory history is left exactly as it was, so memory never
+// drifts from what a restart would load. Caller holds mu; h must not share
+// a backing array that setHistory's callers still mutate.
+func (r *Registry) setHistory(h []uint64) error {
+	if r.dir != "" {
+		var buf bytes.Buffer
+		for _, id := range h {
+			fmt.Fprintf(&buf, "%d\n", id)
+		}
+		if err := r.write(liveFile, buf.Bytes()); err != nil {
+			return err
+		}
+	}
+	r.history = h
+	return nil
 }
 
 // gcLocked enforces the retention bound: delete the oldest versions that
@@ -409,17 +558,12 @@ func (r *Registry) gcLocked() {
 	if r.retain <= 0 || len(r.versions) <= r.retain {
 		return
 	}
-	// The rollback history itself is capped by the retention bound — an
-	// unbounded history would protect every version ever promoted from
-	// eviction. The trimmed LIVE file is written before any version file
-	// is deleted, so a crash in between never leaves a dangling history
-	// entry (which Open treats as a hard error).
-	if keep := r.retain; len(r.history) > keep {
-		r.history = append(r.history[:0], r.history[len(r.history)-keep:]...)
-		if r.dir != "" {
-			if err := r.writeHistory(); err != nil {
-				return // skip GC rather than risk a version gap
-			}
+	// The trimmed LIVE file is written before any version file is deleted,
+	// so a crash in between never leaves a dangling history entry (which
+	// Open treats as a hard error).
+	if h := r.capHistory(r.history); len(h) < len(r.history) {
+		if err := r.setHistory(h); err != nil {
+			return // skip GC rather than risk a version gap
 		}
 	}
 	protected := make(map[uint64]bool, len(r.history)+1)
@@ -441,38 +585,38 @@ func (r *Registry) gcLocked() {
 		if protected[id] {
 			continue
 		}
+		v := r.versions[id]
 		delete(r.versions, id)
 		if r.dir != "" {
 			// Best-effort: a leftover file is re-deleted on a later GC
 			// pass or flagged at the next Open.
 			os.Remove(filepath.Join(r.dir, fmt.Sprintf(versionPattern, id)))
 		}
-		obsGCDeleted.Inc()
+		if r.cache != nil {
+			r.cache.remove(v)
+		} else {
+			obsGCDeleted.Inc()
+		}
 	}
-	obsVersions.Set(float64(len(r.versions)))
+	if r.cache == nil {
+		obsVersions.Set(float64(len(r.versions)))
+	}
 }
 
-// writeVersion persists one version atomically (temp + rename).
-func (r *Registry) writeVersion(id uint64, cfg hdface.Config, m *hdc.Model) error {
-	var buf bytes.Buffer
-	var err error
-	if r.compact {
-		err = hdface.EncodeSnapshotV2(&buf, cfg, m)
-	} else {
-		err = hdface.EncodeSnapshot(&buf, cfg, m)
+// write persists one file under the registry dir durably.
+func (r *Registry) write(name string, data []byte) error {
+	if err := atomicfile.WriteFile(filepath.Join(r.dir, name), data); err != nil {
+		return fmt.Errorf("registry: %w", err)
 	}
-	if err != nil {
-		return fmt.Errorf("registry: encode version %d: %w", id, err)
-	}
-	return r.writeAtomic(fmt.Sprintf(versionPattern, id), buf.Bytes())
+	return nil
 }
 
 // MigrateV2 rewrites every hdface-model/v1 version file under dir in the
-// compact v2 format, atomically (temp + rename) and in place, returning how
-// many files were migrated and how many were already compact. It must not
-// race an open registry on the same dir — run it offline or before Open.
-// Models are re-encoded exactly as stored: binarised memory bit-for-bit,
-// float accumulators quantised to int16 steps.
+// compact v2 format, durably and in place, returning how many files were
+// migrated and how many were already compact. It must not race an open
+// registry on the same dir — run it offline or before Open. Models are
+// re-encoded exactly as stored: binarised memory bit-for-bit, float
+// accumulators quantised to int16 steps.
 func MigrateV2(dir string) (migrated, skipped int, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -504,39 +648,10 @@ func MigrateV2(dir string) (migrated, skipped int, err error) {
 		if err := hdface.EncodeSnapshotV2(&buf, cfg, m); err != nil {
 			return migrated, skipped, fmt.Errorf("registry: %s: %w", name, err)
 		}
-		w := &Registry{dir: dir}
-		if err := w.writeAtomic(name, buf.Bytes()); err != nil {
-			return migrated, skipped, err
+		if err := atomicfile.WriteFile(filepath.Join(dir, name), buf.Bytes()); err != nil {
+			return migrated, skipped, fmt.Errorf("registry: %w", err)
 		}
 		migrated++
 	}
 	return migrated, skipped, nil
-}
-
-// writeHistory persists the LIVE promote history atomically.
-func (r *Registry) writeHistory() error {
-	var buf bytes.Buffer
-	for _, id := range r.history {
-		fmt.Fprintf(&buf, "%d\n", id)
-	}
-	return r.writeAtomic(liveFile, buf.Bytes())
-}
-
-func (r *Registry) writeAtomic(name string, data []byte) error {
-	tmp, err := os.CreateTemp(r.dir, ".registry-*")
-	if err != nil {
-		return fmt.Errorf("registry: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("registry: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("registry: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(r.dir, name)); err != nil {
-		return fmt.Errorf("registry: %w", err)
-	}
-	return nil
 }

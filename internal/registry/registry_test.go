@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -17,6 +18,16 @@ import (
 // enough to exercise the snapshot path.
 func testConfig() hdface.Config {
 	return hdface.Config{D: 256, WorkingSize: 16, Workers: 1, Seed: 7}
+}
+
+// modelOf returns a version's model.
+func modelOf(tb testing.TB, v *Version) *hdc.Model {
+	tb.Helper()
+	m, err := v.Model()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
 }
 
 // trainedModel builds a deterministic trained model; vary salt to get
@@ -148,9 +159,10 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("version %d lost across reload", v1)
 	}
+	gm := modelOf(t, got)
 	for c := range m1.Classes {
 		for i := range m1.Classes[c] {
-			if got.Model.Classes[c][i] != m1.Classes[c][i] {
+			if gm.Classes[c][i] != m1.Classes[c][i] {
 				t.Fatalf("version %d accumulator %d/%d differs after reload", v1, c, i)
 			}
 		}
@@ -204,6 +216,42 @@ func TestRetentionGC(t *testing.T) {
 	}
 }
 
+// TestPromoteLeavesGCToPut: with retain >= 2, retention deletion happens in
+// Put, never in the Promote that follows it. A Promote is a hot swap, and
+// its only disk work is the LIVE write.
+func TestPromoteLeavesGCToPut(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testConfig()
+	const retain = 3
+	r, err := Open(dir, retain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := trainedModel(t, cfg, 1)
+	for i := 0; i < 3*retain; i++ {
+		id, err := r.Put(cfg, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := len(r.List())
+		if before > retain {
+			t.Fatalf("put %d: %d versions after Put, retain=%d", i, before, retain)
+		}
+		if err := r.Promote(id); err != nil {
+			t.Fatal(err)
+		}
+		if after := len(r.List()); after != before {
+			t.Fatalf("put %d: Promote changed the version count %d -> %d", i, before, after)
+		}
+	}
+	// Rollback depth after a Promote is still retain-1 steps.
+	for i := 0; i < retain-1; i++ {
+		if _, err := r.Rollback(); err != nil {
+			t.Fatalf("rollback %d: %v", i, err)
+		}
+	}
+}
+
 func TestLiveIsLockFreeUnderChurn(t *testing.T) {
 	cfg := testConfig()
 	r, err := Open("", 0)
@@ -236,7 +284,7 @@ func TestLiveIsLockFreeUnderChurn(t *testing.T) {
 					t.Errorf("live ID %d is neither promoted version", v.ID)
 					return
 				}
-				if v.Model == nil || v.Model.D != cfg.D {
+				if m, err := v.Model(); err != nil || m.D != cfg.D {
 					t.Error("half-published version observed")
 					return
 				}
@@ -303,7 +351,11 @@ func TestOpenRejectsBitFlippedVersion(t *testing.T) {
 			continue // rejected: good
 		}
 		v, err := r2.Get(1)
-		if err != nil || v.Model == nil || v.Model.D <= 0 || v.Model.K < 2 {
+		var m *hdc.Model
+		if err == nil {
+			m, err = v.Model()
+		}
+		if err != nil || m.D <= 0 || m.K < 2 {
 			t.Fatalf("offset %d: corruption accepted as invalid model", off)
 		}
 	}
@@ -387,8 +439,79 @@ func FuzzOpen(f *testing.F) {
 		if err != nil {
 			t.Fatal("Open succeeded but silently dropped the version")
 		}
-		if v.Model == nil || v.Model.D <= 0 || v.Model.K < 2 {
-			t.Fatalf("structurally invalid model loaded: %+v", v.Model)
+		if m, err := v.Model(); err != nil || m.D <= 0 || m.K < 2 {
+			t.Fatalf("structurally invalid model loaded: %+v, %v", m, err)
 		}
 	})
+}
+
+// TestFailedLiveWriteKeepsHistory: a LIVE write that fails must leave the
+// in-memory promote history exactly as it was, so memory never drifts from
+// what a restart would load. Two writers can fail: Promote with a full
+// history (which would drop its oldest entry) and the retention trim GC
+// runs after a Put.
+func TestFailedLiveWriteKeepsHistory(t *testing.T) {
+	cfg := testConfig()
+	m := trainedModel(t, cfg, 1)
+	put := func(r *Registry) uint64 {
+		t.Helper()
+		id, err := r.Put(cfg, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	promote := func(r *Registry, ids ...uint64) {
+		t.Helper()
+		for _, id := range ids {
+			if err := r.Promote(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	dir := t.TempDir()
+	r, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := put(r), put(r)
+	for i := 0; i < maxHistory/2; i++ {
+		promote(r, a, b)
+	}
+	full := append([]uint64(nil), r.history...)
+	c := put(r)
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Promote(c); err == nil {
+		t.Fatal("Promote succeeded with its directory gone")
+	}
+	if !reflect.DeepEqual(r.history, full) {
+		t.Fatalf("history after failed promote = %v, want %v", r.history, full)
+	}
+	if live := r.Live(); live == nil || live.ID != b {
+		t.Fatalf("live after failed promote = %+v, want version %d", live, b)
+	}
+
+	// Retention trim: four history entries over two versions with retain=2;
+	// the third Put pushes GC to trim the history, and that write fails
+	// because LIVE has become a directory.
+	dir = t.TempDir()
+	if r, err = Open(dir, 2); err != nil {
+		t.Fatal(err)
+	}
+	a, b = put(r), put(r)
+	promote(r, a, b, a, b)
+	before := append([]uint64(nil), r.history...)
+	if err := os.Remove(filepath.Join(dir, liveFile)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, liveFile), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	put(r)
+	if !reflect.DeepEqual(r.history, before) {
+		t.Fatalf("history after failed GC trim = %v, want %v", r.history, before)
+	}
 }

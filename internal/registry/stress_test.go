@@ -99,7 +99,7 @@ func TestGCRacesPromoteRollback(t *testing.T) {
 			defer churners.Done()
 			for !stop.Load() {
 				if v := r.Live(); v != nil {
-					if v.Model == nil {
+					if m, err := v.Model(); err != nil || m == nil {
 						t.Error("live version with nil model")
 						return
 					}

@@ -81,6 +81,11 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusConflict, "no live model")
 		return
 	}
+	m, err := live.Model()
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
 	cfg, ok := s.reg.Config()
 	if !ok {
 		cfg = s.cfg.Pipeline.Config()
@@ -88,8 +93,8 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	obsModelExports.Inc()
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(versionHeader, fmt.Sprintf("%d", live.ID))
-	w.Header().Set(fingerprintHeader, fmt.Sprintf("%016x", live.Model.Fingerprint()))
-	if err := hdface.EncodeSnapshot(w, cfg, live.Model); err != nil {
+	w.Header().Set(fingerprintHeader, fmt.Sprintf("%016x", m.Fingerprint()))
+	if err := hdface.EncodeSnapshot(w, cfg, m); err != nil {
 		return // mid-stream failure; connection drop is the only signal left
 	}
 }

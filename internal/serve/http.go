@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"hdface/internal/hv"
 	"hdface/internal/imgproc"
 	"hdface/internal/obs"
 	"hdface/internal/obs/trace"
@@ -299,15 +300,41 @@ func (s *Server) tenantOf(w http.ResponseWriter, r *http.Request) (string, bool)
 	return id, true
 }
 
-// tenantErrCode maps tenant-store errors to HTTP statuses: an unknown
-// tenant is the caller's 404, a tenant with no live model mirrors the
-// registry's 409, a bad sample is a 400, the tenant limit is the server
-// refusing to store more lineages.
-func tenantErrCode(err error) int {
+// lineage resolves a request's model lineage: the named tenant's registry
+// in the tenant store, or the server's registry when the request names no
+// tenant. This is the only place the two paths differ on the way in.
+func (s *Server) lineage(ten string) (*registry.Registry, error) {
+	if ten == "" {
+		return s.reg, nil
+	}
+	return s.cfg.Tenants.Registry(ten)
+}
+
+// route extracts the request's tenant and resolves its lineage, which must
+// have a live model. ok=false means an error response was already written.
+func (s *Server) route(w http.ResponseWriter, r *http.Request) (ten string, reg *registry.Registry, ok bool) {
+	if ten, ok = s.tenantOf(w, r); !ok {
+		return "", nil, false
+	}
+	reg, err := s.lineage(ten)
+	if err == nil && reg.Live() == nil {
+		err = registry.ErrNoLive
+	}
+	if err != nil {
+		writeErr(w, errCode(err), "%v", err)
+		return "", nil, false
+	}
+	return ten, reg, true
+}
+
+// errCode maps lineage errors to HTTP statuses: an unknown tenant is the
+// caller's 404, a lineage with no live model is a 409, a bad sample is a
+// 400, the tenant limit is the server refusing to store more lineages.
+func errCode(err error) int {
 	switch {
 	case errors.Is(err, tenant.ErrUnknownTenant):
 		return http.StatusNotFound
-	case errors.Is(err, tenant.ErrNoLive):
+	case errors.Is(err, registry.ErrNoLive):
 		return http.StatusConflict
 	case errors.Is(err, tenant.ErrBadFeedback):
 		return http.StatusBadRequest
@@ -340,19 +367,9 @@ func (s *Server) startTrace(w http.ResponseWriter, r *http.Request, kind string,
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	ten, ok := s.tenantOf(w, r)
+	ten, reg, ok := s.route(w, r)
 	if !ok {
 		return
-	}
-	if ten == "" && s.reg.Live() == nil {
-		writeErr(w, http.StatusConflict, "no live model")
-		return
-	}
-	if ten != "" {
-		if _, err := s.cfg.Tenants.Live(ten); err != nil {
-			writeErr(w, tenantErrCode(err), "%v", err)
-			return
-		}
 	}
 	img, ok := s.readImage(w, r)
 	if !ok {
@@ -360,7 +377,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	obsPredictReqs.Inc()
 	tr, finish := s.startTrace(w, r, "predict", s.sloPredict)
-	j := &job{kind: kindPredict, img: img, tenant: ten, resp: make(chan result, 1), tr: tr, enq: time.Now()}
+	j := &job{kind: kindPredict, img: img, reg: reg, tenant: ten, resp: make(chan result, 1), tr: tr, enq: time.Now()}
 	res, ok := s.submit(w, j)
 	if !ok {
 		finish(true)
@@ -369,11 +386,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	obsLatency.Observe(time.Since(start).Seconds())
 	if res.err != nil {
 		finish(true)
-		code := http.StatusInternalServerError
-		if ten != "" {
-			code = tenantErrCode(res.err)
-		}
-		writeErr(w, code, "predict: %v", res.err)
+		writeErr(w, errCode(res.err), "predict: %v", res.err)
 		return
 	}
 	finish(false)
@@ -389,19 +402,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	ten, ok := s.tenantOf(w, r)
+	ten, reg, ok := s.route(w, r)
 	if !ok {
 		return
-	}
-	if ten == "" && s.reg.Live() == nil {
-		writeErr(w, http.StatusConflict, "no live model")
-		return
-	}
-	if ten != "" {
-		if _, err := s.cfg.Tenants.Live(ten); err != nil {
-			writeErr(w, tenantErrCode(err), "%v", err)
-			return
-		}
 	}
 	img, ok := s.readImage(w, r)
 	if !ok {
@@ -424,7 +427,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	// queue degrades instead of consuming its full budget late.
 	ctx, cancel := context.WithTimeout(r.Context(), deadline)
 	defer cancel()
-	j := &job{kind: kindDetect, img: img, tenant: ten, ctx: ctx, resp: make(chan result, 1), tr: tr, enq: time.Now()}
+	j := &job{kind: kindDetect, img: img, reg: reg, tenant: ten, ctx: ctx, resp: make(chan result, 1), tr: tr, enq: time.Now()}
 	res, ok := s.submit(w, j)
 	if !ok {
 		finish(true)
@@ -433,11 +436,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	obsLatency.Observe(time.Since(start).Seconds())
 	if res.err != nil {
 		finish(true)
-		code := http.StatusInternalServerError
-		if ten != "" {
-			code = tenantErrCode(res.err)
-		}
-		writeErr(w, code, "detect: %v", res.err)
+		writeErr(w, errCode(res.err), "detect: %v", res.err)
 		return
 	}
 	finish(false)
@@ -465,17 +464,17 @@ type feedbackJSON struct {
 // handleFeedback ingests one labelled sample for online learning. Two
 // forms: a PGM body with ?label=N (the image's feature is extracted on the
 // dispatcher), or a JSON {"request_id","label"} correction referencing a
-// recent /predict (the stored feature is reused — no image resend; for the
-// single-tenant path, no dispatcher round-trip either). A tenant'd sample
-// joins that tenant's private batch in the tenant store instead of the
-// shared online trainer, and the reply reports the new version when the
-// sample completed a refinement round.
+// recent /predict (the stored feature is reused — no image resend and no
+// dispatcher round-trip). A tenant'd sample joins that tenant's private
+// batch in the tenant store instead of the shared online trainer, and the
+// reply reports the new version when the sample completed a refinement
+// round.
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, "POST feedback")
 		return
 	}
-	ten, ok := s.tenantOf(w, r)
+	ten, reg, ok := s.route(w, r)
 	if !ok {
 		return
 	}
@@ -483,76 +482,62 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotImplemented, "online learning is disabled")
 		return
 	}
-	live := s.reg.Live()
-	if ten == "" && live == nil {
-		writeErr(w, http.StatusConflict, "no live model")
+	_, m, err := reg.LiveModel()
+	if err != nil {
+		writeErr(w, errCode(err), "%v", err)
 		return
 	}
+	var f *hv.Vector
+	var label int
 	if r.Header.Get("Content-Type") == "application/json" {
 		var fb feedbackJSON
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)).Decode(&fb); err != nil {
 			writeErr(w, http.StatusBadRequest, "decode feedback: %v", err)
 			return
 		}
-		f, ok := s.lookupRecent(fb.RequestID)
-		if !ok {
+		if f, ok = s.lookupRecent(fb.RequestID); !ok {
 			writeErr(w, http.StatusNotFound, "request_id %q unknown or expired", fb.RequestID)
 			return
 		}
-		if ten != "" {
-			// The tenant store validates the label against the tenant's own
-			// model and serialises the (possibly round-triggering) update
-			// under the tenant's lock — no dispatcher involvement.
-			promoted, err := s.cfg.Tenants.Feedback(ten, f, fb.Label)
-			if err != nil {
-				writeErr(w, tenantErrCode(err), "%v", err)
-				return
-			}
-			obsFeedbackReqs.Inc()
-			writeJSON(w, http.StatusAccepted, FeedbackResponse{Status: "accepted", Tenant: ten, NewVersion: promoted})
+		label = fb.Label
+	} else {
+		labelStr := r.URL.Query().Get("label")
+		if label, err = strconv.Atoi(labelStr); err != nil {
+			writeErr(w, http.StatusBadRequest, "label %q: want an integer class", labelStr)
 			return
 		}
-		if fb.Label < 0 || fb.Label >= live.Model.K {
-			writeErr(w, http.StatusBadRequest, "label %d outside [0, %d)", fb.Label, live.Model.K)
-			return
-		}
-		if err := s.trainer.Enqueue(online.Sample{Feature: f, Label: fb.Label}); err != nil {
-			s.shed(w, "feedback: %v", err)
-			return
-		}
-		obsFeedbackReqs.Inc()
-		writeJSON(w, http.StatusAccepted, FeedbackResponse{Status: "accepted"})
+	}
+	if label < 0 || label >= m.K {
+		writeErr(w, http.StatusBadRequest, "label %d outside [0, %d)", label, m.K)
 		return
 	}
-	labelStr := r.URL.Query().Get("label")
-	label, err := strconv.Atoi(labelStr)
+	var promoted uint64
+	if f != nil {
+		// The stored feature needs no dispatcher: the learning loop
+		// serialises the (possibly round-triggering) update itself.
+		promoted, err = s.learn(ten, f, label)
+	} else {
+		img, ok := s.readImage(w, r)
+		if !ok {
+			return
+		}
+		j := &job{kind: kindFeedback, img: img, tenant: ten, label: label, resp: make(chan result, 1)}
+		res, ok := s.submit(w, j)
+		if !ok {
+			return
+		}
+		promoted, err = res.promoted, res.err
+	}
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "label %q: want an integer class", labelStr)
-		return
-	}
-	if ten == "" && (label < 0 || label >= live.Model.K) {
-		writeErr(w, http.StatusBadRequest, "label %d outside [0, %d)", label, live.Model.K)
-		return
-	}
-	img, ok := s.readImage(w, r)
-	if !ok {
-		return
-	}
-	j := &job{kind: kindFeedback, img: img, tenant: ten, label: label, resp: make(chan result, 1)}
-	res, ok := s.submit(w, j)
-	if !ok {
-		return
-	}
-	if res.err != nil {
-		if ten != "" {
-			writeErr(w, tenantErrCode(res.err), "%v", res.err)
-			return
+		if ten == "" {
+			s.shed(w, "feedback: %v", err) // the trainer's queue is full or closed
+		} else {
+			writeErr(w, errCode(err), "%v", err)
 		}
-		s.shed(w, "feedback: %v", res.err)
 		return
 	}
 	obsFeedbackReqs.Inc()
-	writeJSON(w, http.StatusAccepted, FeedbackResponse{Status: "accepted", Tenant: res.tenant, NewVersion: res.promoted})
+	writeJSON(w, http.StatusAccepted, FeedbackResponse{Status: "accepted", Tenant: ten, NewVersion: promoted})
 }
 
 // TenantsResponse is the GET /tenants reply: every tenant in ID order
@@ -613,9 +598,13 @@ func (s *Server) handleTenantSeed(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusConflict, "no live model to seed from")
 		return
 	}
-	id, err := s.cfg.Tenants.Seed(ten, s.cfg.Pipeline.Config(), live.Model)
+	var id uint64
+	m, err := live.Model()
+	if err == nil {
+		id, err = s.cfg.Tenants.Seed(ten, s.cfg.Pipeline.Config(), m)
+	}
 	if err != nil {
-		writeErr(w, tenantErrCode(err), "%v", err)
+		writeErr(w, errCode(err), "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, TenantSeedResponse{Tenant: ten, Version: id, Base: live.ID})

@@ -13,7 +13,9 @@
 // Models are served through a registry: the pipeline supplies features,
 // the registry's lock-free live slot supplies the classifier, so a
 // promote or rollback swaps models between requests with zero downtime
-// and every response names the exact version that scored it. An optional
+// and every response names the exact version that scored it. A request
+// resolves to one registry — the server's, or the tenant store's registry
+// for the tenant it names — and takes the same path from there. An optional
 // online trainer turns POST /feedback into candidate refinement.
 package serve
 
@@ -129,12 +131,12 @@ type Config struct {
 	// classifier every frame. Must match the pipeline's dimensionality.
 	Emotion *hdc.Model
 	// Tenants optionally enables multi-tenant serving: a request naming a
-	// tenant (X-Hdface-Tenant header or ?tenant=) scores against that
-	// tenant's live model from this store instead of the registry's live
-	// version, and its feedback feeds that tenant's private lineage. The
-	// store must be compatible with the pipeline — every tenant shares the
-	// pipeline's bases, only class memory differs. nil disables tenant
-	// routing (tenant'd requests get 501).
+	// tenant (X-Hdface-Tenant header or ?tenant=) resolves to that tenant's
+	// registry in this store instead of Registry, and its feedback feeds
+	// that tenant's private lineage. The store must be compatible with the
+	// pipeline — every tenant shares the pipeline's bases, only class
+	// memory differs. nil disables tenant routing (tenant'd requests get
+	// 501).
 	Tenants *tenant.Store
 }
 
@@ -246,8 +248,9 @@ type job struct {
 	img  *imgproc.Image
 	// label is the feedback correction for kindFeedback.
 	label int
-	// tenant routes the job to a tenant's live model instead of the
-	// registry's ("" = registry live, the single-tenant path).
+	// reg is the model lineage the job scores against: the named tenant's
+	// registry, or the server's when tenant is "".
+	reg    *registry.Registry
 	tenant string
 	// ctx carries the request's detect budget; it starts ticking at
 	// admission, so time spent queued counts against the deadline.
@@ -280,16 +283,12 @@ type Server struct {
 	closed    bool
 	closeOnce sync.Once
 
-	// Detect scorer cache, keyed by the live version it was built from.
+	// Detect scorer cache, keyed by (tenant, version): one entry per
+	// lineage ("" = the server's registry), valid for the version it was
+	// built from and replaced when that lineage's live version moves, so a
+	// promote never strands a stale scorer. Bounded by scorerCap.
 	// Dispatcher-goroutine only: DetectScorer forks pipeline state.
-	scorerVer uint64
-	scorer    detect.WindowScorer
-	scorerErr error
-
-	// Per-tenant detect scorer cache, keyed by tenant ID and invalidated
-	// when the tenant's live version moves. Dispatcher-goroutine only,
-	// bounded by tenantScorerCap.
-	tenantScorers map[string]*tenantScorer
+	scorers map[string]builtScorer
 
 	// Recent predict features for request-ID feedback corrections.
 	reqSeq   atomic.Uint64
@@ -342,16 +341,16 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	s := &Server{
-		cfg:           cfg,
-		reg:           reg,
-		trainer:       cfg.Online,
-		queue:         make(chan *job, cfg.MaxQueue),
-		done:          make(chan struct{}),
-		recent:        make(map[string]*hv.Vector),
-		tenantScorers: make(map[string]*tenantScorer),
-		sloPredict:    obs.NewSLO("predict", cfg.SLOTarget, cfg.SLOObjective, cfg.SLOWindow),
-		sloDetect:     obs.NewSLO("detect", cfg.SLOTarget, cfg.SLOObjective, cfg.SLOWindow),
-		sloStream:     obs.NewSLO("stream", cfg.FrameDeadline, cfg.SLOObjective, cfg.SLOWindow),
+		cfg:        cfg,
+		reg:        reg,
+		trainer:    cfg.Online,
+		queue:      make(chan *job, cfg.MaxQueue),
+		done:       make(chan struct{}),
+		recent:     make(map[string]*hv.Vector),
+		scorers:    make(map[string]builtScorer),
+		sloPredict: obs.NewSLO("predict", cfg.SLOTarget, cfg.SLOObjective, cfg.SLOWindow),
+		sloDetect:  obs.NewSLO("detect", cfg.SLOTarget, cfg.SLOObjective, cfg.SLOWindow),
+		sloStream:  obs.NewSLO("stream", cfg.FrameDeadline, cfg.SLOObjective, cfg.SLOWindow),
 	}
 	if s.trainer != nil {
 		s.trainer.Start()
@@ -461,15 +460,13 @@ func (s *Server) runOther(j *job) {
 }
 
 // runPredicts extracts the whole batch through the pipeline's parallel
-// feature path and scores each image against its model: the tenant's live
-// version for tenant'd jobs, the registry's otherwise. The registry live
-// pointer is read once, so every single-tenant response in a batch is
-// attributable to exactly one version even if a promote lands mid-batch;
-// tenant jobs resolve their own tenant's slot and batch freely with
-// everyone else — feature extraction is tenant-agnostic (shared bases),
-// only the class-memory lookup differs. Per-image content reseeding makes
-// the outputs independent of batch composition, so this is exactly
-// equivalent to len(batch) separate scoring calls.
+// feature path and scores each image against the live model of its own
+// lineage. Models are resolved before extraction, so a job whose lineage
+// has nothing live fails without costing the batch an extraction. Jobs of
+// different lineages batch freely — feature extraction is lineage-agnostic
+// (shared bases), only the class-memory lookup differs — and per-image
+// content reseeding makes the outputs independent of batch composition, so
+// this is exactly equivalent to len(batch) separate scoring calls.
 func (s *Server) runPredicts(batch []*job) {
 	obsBatches.Inc()
 	obsBatchImgs.Add(int64(len(batch)))
@@ -479,55 +476,39 @@ func (s *Server) runPredicts(batch []*job) {
 	// queue wait. This is the split that tells an operator whether to
 	// raise MaxBatch or shrink FlushInterval.
 	infStart := time.Now()
-	anyTenant := false
+	type ready struct {
+		j *job
+		v *registry.Version
+		m *hdc.Model
+	}
+	jobs := make([]ready, 0, len(batch))
+	imgs := make([]*imgproc.Image, 0, len(batch))
 	for _, j := range batch {
 		if j.tr != nil {
 			j.tr.AddSpan("queue_wait", j.enq, j.deq)
 			j.tr.AddSpan("batch_wait", j.deq, infStart)
 		}
-		if j.tenant != "" {
-			anyTenant = true
+		v, m, err := s.resolve(j)
+		if err != nil {
+			j.resp <- result{err: err}
+			continue
 		}
+		jobs = append(jobs, ready{j, v, m})
+		imgs = append(imgs, j.img)
 	}
-	live := s.reg.Live()
-	if live == nil && !anyTenant {
-		for _, j := range batch {
-			j.resp <- result{err: fmt.Errorf("no live model")}
-		}
+	if len(jobs) == 0 {
 		return
 	}
-	p := s.cfg.Pipeline
-	imgs := make([]*imgproc.Image, len(batch))
-	for i, j := range batch {
-		imgs[i] = j.img
-	}
-	feats, err := p.FeaturesContext(context.Background(), imgs)
+	feats, err := s.cfg.Pipeline.FeaturesContext(context.Background(), imgs)
 	if err != nil {
-		for _, j := range batch {
-			j.resp <- result{err: err}
+		for _, r := range jobs {
+			r.j.resp <- result{err: err}
 		}
 		return
 	}
 	extractEnd := time.Now()
-	for i, j := range batch {
-		var model *hdc.Model
-		var version uint64
-		if j.tenant != "" {
-			v, m, err := s.cfg.Tenants.Model(j.tenant)
-			if err != nil {
-				j.resp <- result{err: err}
-				continue
-			}
-			model, version = m, v.ID
-			obsTenantReqs.Inc()
-		} else {
-			if live == nil {
-				j.resp <- result{err: fmt.Errorf("no live model")}
-				continue
-			}
-			model, version = live.Model, live.ID
-		}
-		scores := model.Scores(feats[i])
+	for i, r := range jobs {
+		scores := r.m.Scores(feats[i])
 		best := 0
 		for c, sc := range scores {
 			if sc > scores[best] {
@@ -537,17 +518,30 @@ func (s *Server) runPredicts(batch []*job) {
 		reqID := ""
 		// Tenant jobs remember their feature even without a trainer: a
 		// request-ID /feedback correction routes to the tenant store.
-		if s.trainer != nil || j.tenant != "" {
+		if s.trainer != nil || r.j.tenant != "" {
 			reqID = s.remember(feats[i])
 		}
-		if j.tr != nil {
-			sp := j.tr.AddSpan("inference", infStart, time.Now())
+		if r.j.tr != nil {
+			sp := r.j.tr.AddSpan("inference", infStart, time.Now())
 			sp.SetAttrInt("batch_size", int64(len(batch)))
-			sp.SetAttrInt("model_version", int64(version))
+			sp.SetAttrInt("model_version", int64(r.v.ID))
 			sp.AddSpan("extract", infStart, extractEnd)
 		}
-		j.resp <- result{label: best, scores: scores, version: version, reqID: reqID, tenant: j.tenant}
+		r.j.resp <- result{label: best, scores: scores, version: r.v.ID, reqID: reqID, tenant: r.j.tenant}
 	}
+}
+
+// resolve returns the live version of the job's lineage and its
+// (materialized) model.
+func (s *Server) resolve(j *job) (*registry.Version, *hdc.Model, error) {
+	v, m, err := j.reg.LiveModel()
+	if err != nil {
+		return nil, nil, err
+	}
+	if j.tenant != "" {
+		obsTenantReqs.Inc()
+	}
+	return v, m, nil
 }
 
 // remember files a predict feature under a fresh request ID so a later
@@ -574,9 +568,8 @@ func (s *Server) lookupRecent(id string) (*hv.Vector, bool) {
 }
 
 // runFeedback extracts the image's feature on the dispatcher (the pipeline
-// is not goroutine-safe) and hands the sample to the trainer — or, for a
-// tenant'd job, to the tenant's private feedback batch (which may trigger
-// a synchronous per-tenant refinement round right here).
+// is not goroutine-safe) and hands the sample to its lineage's learning
+// loop (a tenant round may run synchronously right here).
 func (s *Server) runFeedback(j *job) {
 	if j.tr != nil {
 		j.tr.AddSpan("queue_wait", j.enq, time.Now())
@@ -584,12 +577,18 @@ func (s *Server) runFeedback(j *job) {
 	sp := j.tr.StartSpan("extract")
 	f := s.cfg.Pipeline.Feature(j.img)
 	sp.End()
-	if j.tenant != "" {
-		promoted, err := s.cfg.Tenants.Feedback(j.tenant, f, j.label)
-		j.resp <- result{promoted: promoted, tenant: j.tenant, err: err}
-		return
+	promoted, err := s.learn(j.tenant, f, j.label)
+	j.resp <- result{promoted: promoted, tenant: j.tenant, err: err}
+}
+
+// learn routes one labelled sample to its lineage's learning loop: the
+// tenant's private feedback batch, or the shared online trainer. promoted
+// is the version a tenant round just made live (0 otherwise).
+func (s *Server) learn(ten string, f *hv.Vector, label int) (promoted uint64, err error) {
+	if ten != "" {
+		return s.cfg.Tenants.Feedback(ten, f, label)
 	}
-	j.resp <- result{err: s.trainer.Enqueue(online.Sample{Feature: f, Label: j.label})}
+	return 0, s.trainer.Enqueue(online.Sample{Feature: f, Label: label})
 }
 
 // runDetect sweeps one image under the request's deadline context. A blown
@@ -614,72 +613,42 @@ func (s *Server) runDetect(j *job) {
 	j.resp <- result{boxes: boxes, stats: stats, version: version, tenant: j.tenant, err: err}
 }
 
-// scorerFor resolves the job's scoring model — the tenant's live version
-// or the registry's — and its cached window scorer. Dispatcher goroutine
-// only (scorer builds fork pipeline state).
+// builtScorer is one cached DetectScorer outcome for one model version (a
+// build error is cached too: rebuilding the same model would fail the same
+// way).
+type builtScorer struct {
+	version uint64
+	ws      detect.WindowScorer
+	err     error
+}
+
+// scorerCap bounds the scorer cache: with thousands of tenants resident
+// the scorers (which hold forked pipeline state) must not grow without
+// bound the way compact blobs may.
+const scorerCap = 256
+
+// scorerFor resolves the job's live model and its cached sweep scorer,
+// building one on a miss. Dispatcher goroutine only (scorer builds fork
+// pipeline state).
 func (s *Server) scorerFor(j *job) (detect.WindowScorer, uint64, error) {
-	if j.tenant == "" {
-		live := s.reg.Live()
-		if live == nil {
-			return nil, 0, fmt.Errorf("no live model")
-		}
-		sc, err := s.detectScorer(live, j.tr)
-		return sc, live.ID, err
-	}
-	v, m, err := s.cfg.Tenants.Model(j.tenant)
+	v, m, err := s.resolve(j)
 	if err != nil {
 		return nil, 0, err
 	}
-	obsTenantReqs.Inc()
-	sc, err := s.tenantDetectScorer(j.tenant, v.ID, m, j.tr)
-	return sc, v.ID, err
-}
-
-// detectScorer returns a sweep scorer for the given live version,
-// rebuilding the cached one after a swap. DetectScorer forks pipeline
-// state, so it must run on the dispatcher goroutine — and does: the only
-// caller is scorerFor.
-func (s *Server) detectScorer(live *registry.Version, tr *trace.Trace) (detect.WindowScorer, error) {
-	// Version IDs start at 1, so the zero scorerVer always misses first.
-	if s.scorerVer != live.ID {
-		sp := tr.StartSpan("scorer_build")
-		s.scorer, s.scorerErr = s.cfg.Pipeline.DetectScorer(live.Model, s.cfg.DetectWin)
-		s.scorerVer = live.ID
+	b, ok := s.scorers[j.tenant]
+	if !ok || b.version != v.ID {
+		if !ok && len(s.scorers) >= scorerCap {
+			// Wholesale reset: a full cache means detect traffic churned past
+			// the working set, and rebuilding a scorer costs milliseconds —
+			// cheaper than tracking per-entry recency on the hot path.
+			clear(s.scorers)
+		}
+		sp := j.tr.StartSpan("scorer_build")
+		b.version = v.ID
+		b.ws, b.err = s.cfg.Pipeline.DetectScorer(m, s.cfg.DetectWin)
 		sp.End()
 		obsScorerSwaps.Inc()
+		s.scorers[j.tenant] = b
 	}
-	return s.scorer, s.scorerErr
-}
-
-// tenantScorer is one cached per-tenant sweep scorer, valid while the
-// tenant's live version stays ver.
-type tenantScorer struct {
-	ver    uint64
-	scorer detect.WindowScorer
-	err    error
-}
-
-// tenantScorerCap bounds the per-tenant scorer cache: with thousands of
-// tenants resident the scorers (which hold forked pipeline state) must
-// not grow without bound the way compact blobs may.
-const tenantScorerCap = 256
-
-// tenantDetectScorer returns the tenant's cached sweep scorer, rebuilding
-// it after that tenant's live version moved. Dispatcher goroutine only.
-func (s *Server) tenantDetectScorer(id string, ver uint64, m *hdc.Model, tr *trace.Trace) (detect.WindowScorer, error) {
-	if c := s.tenantScorers[id]; c != nil && c.ver == ver {
-		return c.scorer, c.err
-	}
-	if len(s.tenantScorers) >= tenantScorerCap {
-		// Wholesale reset: a full cache means detect traffic churned past
-		// the working set, and rebuilding a scorer costs milliseconds —
-		// cheaper than tracking per-entry recency on the hot path.
-		clear(s.tenantScorers)
-	}
-	sp := tr.StartSpan("scorer_build")
-	sc, err := s.cfg.Pipeline.DetectScorer(m, s.cfg.DetectWin)
-	sp.End()
-	obsScorerSwaps.Inc()
-	s.tenantScorers[id] = &tenantScorer{ver: ver, scorer: sc, err: err}
-	return sc, err
+	return b.ws, v.ID, b.err
 }

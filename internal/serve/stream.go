@@ -394,19 +394,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, "POST a length-prefixed PGM frame stream")
 		return
 	}
-	ten, ok := s.tenantOf(w, r)
+	ten, reg, ok := s.route(w, r)
 	if !ok {
 		return
-	}
-	if ten == "" && s.reg.Live() == nil {
-		writeErr(w, http.StatusConflict, "no live model")
-		return
-	}
-	if ten != "" {
-		if _, err := s.cfg.Tenants.Live(ten); err != nil {
-			writeErr(w, tenantErrCode(err), "%v", err)
-			return
-		}
 	}
 	frameDeadline := s.cfg.FrameDeadline
 	if q := r.URL.Query().Get("frame_deadline"); q != "" {
@@ -465,7 +455,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), frameDeadline)
-		j := &job{kind: kindStream, img: img, tenant: ten, ctx: ctx, resp: make(chan result, 1),
+		j := &job{kind: kindStream, img: img, reg: reg, tenant: ten, ctx: ctx, resp: make(chan result, 1),
 			tr: tr, enq: time.Now(), stream: st}
 		if !s.enqueue(j) {
 			cancel()

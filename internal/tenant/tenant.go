@@ -4,30 +4,24 @@
 // It leans on the paper's holographic property the same way snapshots do,
 // but pushed to its limit: a trained model is fully determined by its
 // Config (whose Seed rematerializes every hypervector basis) plus its
-// class memory, so the store keeps only the compact hdface-model/v2 blob
-// per version — a few KB each — and materializes the float/binary class
-// memory lazily, on first use, behind a per-version mutex gate (a
-// resettable sync.Once: eviction clears the slot, the next request
-// rebuilds it). Materialized models live in an LRU with a byte budget;
-// eviction drops only the decoded form, never the blob, and in-flight
-// readers keep the immutable *hdc.Model they already loaded.
+// class memory. Each tenant is one registry.Registry lineage, opened lazy
+// through the store's shared registry.Cache: versions stay resident as
+// compact hdface-model/v2 blobs — a few KB each — and their class memory is
+// materialized on first use and evicted under one store-wide byte budget.
+// In-flight readers keep the immutable *hdc.Model they already loaded.
 //
-// Each tenant has an atomic live slot, so promoting a new version (after
-// an online-learning round, say) is one pointer store — a swap never
-// blocks a scoring request. All mutation serialises per tenant; on disk a
-// tenant is a directory of v*.hdfs compact blobs plus a LIVE file,
-// written temp+rename like the registry.
+// Versioning, promote, rollback history, retention GC and durable writes
+// are the registry's; on disk a tenant is a registry directory under
+// Config.Dir. The store adds tenant routing, one shared base config, and
+// per-tenant feedback rounds.
 package tenant
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -41,14 +35,6 @@ import (
 var (
 	obsTenants = obs.NewGauge("hdface_tenant_tenants",
 		"Number of tenants resident in the store.")
-	obsVersions = obs.NewGauge("hdface_tenant_versions",
-		"Total model versions resident (compact blobs) across all tenants.")
-	obsMaterialized = obs.NewGauge("hdface_tenant_materialized_bytes",
-		"Bytes of lazily materialized class memory currently cached.")
-	obsMaterializations = obs.NewCounter("hdface_tenant_materializations_total",
-		"Cold materializations of a compact blob into a scoring model.")
-	obsEvictions = obs.NewCounter("hdface_tenant_evictions_total",
-		"Materialized models evicted under the LRU byte budget.")
 	obsSwaps = obs.NewCounter("hdface_tenant_swaps_total",
 		"Per-tenant live-slot swaps (promotes).")
 	obsFeedback = obs.NewCounter("hdface_tenant_feedback_total",
@@ -57,19 +43,16 @@ var (
 		"Per-tenant online-learning rounds (batch trained + promoted).")
 )
 
-// Typed errors, so serve can map them to precise HTTP statuses.
+// Typed errors, so serve can map them to precise HTTP statuses. ErrNoLive
+// is the registry's: a tenant is a registry lineage.
 var (
 	ErrUnknownTenant = errors.New("tenant: unknown tenant")
-	ErrNoLive        = errors.New("tenant: no live version")
+	ErrNoLive        = registry.ErrNoLive
 	ErrTooMany       = errors.New("tenant: tenant limit reached")
 	ErrBadFeedback   = errors.New("tenant: bad feedback sample")
 )
 
-const (
-	versionPattern = "v%010d.hdfs"
-	liveFile       = "LIVE"
-	maxIDLen       = 64
-)
+const maxIDLen = 64
 
 // Config shapes a Store.
 type Config struct {
@@ -114,31 +97,24 @@ func (c Config) withDefaults() Config {
 }
 
 // Store holds every tenant. Reads on the scoring path take only the
-// tenants RWMutex read lock plus (on an LRU hit) the short lru lock.
+// tenants RWMutex read lock plus (on a cache hit) the short LRU lock.
 type Store struct {
-	cfg Config
+	cfg   Config
+	cache *registry.Cache
 
 	mu      sync.RWMutex // guards tenants map and base config adoption
 	tenants map[string]*Tenant
 	baseCfg hdface.Config
 	haveCfg bool
-
-	nVersions atomic.Int64 // store-wide version count, for the gauge
-
-	lru lruList
 }
 
-// Tenant is one isolated model lineage: its own versions, live slot,
-// feedback accumulator and counters.
+// Tenant is one isolated model lineage: its own registry, feedback batch
+// and counters.
 type Tenant struct {
-	id    string
-	store *Store
+	id  string
+	reg *registry.Registry
 
-	mu       sync.Mutex // versions, nextID, batch, persistence
-	versions map[uint64]*Version
-	nextID   uint64
-	live     atomic.Pointer[Version]
-
+	mu          sync.Mutex // feedback batch and rounds
 	batchFeats  []*hv.Vector
 	batchLabels []int
 
@@ -146,29 +122,6 @@ type Tenant struct {
 	feedback atomic.Int64
 	rounds   atomic.Int64
 	swaps    atomic.Int64
-}
-
-// Version is one immutable model version: the compact blob is always
-// resident; the decoded model appears on first use and may be evicted.
-type Version struct {
-	TenantID string
-	ID       uint64
-	Cfg      hdface.Config
-
-	store *Store
-	blob  []byte
-
-	// Materialization gate: mat is the published decoded model (nil =
-	// not materialized); matMu serialises decoding so concurrent first
-	// users decode once. A sync.Once cannot be reset after eviction,
-	// hence the mutex + double-checked atomic pointer.
-	matMu sync.Mutex
-	mat   atomic.Pointer[hdc.Model]
-
-	// LRU bookkeeping, guarded by store.lru.mu.
-	lruPrev, lruNext *Version
-	inLRU            bool
-	matBytes         int64
 }
 
 // ValidID reports whether a tenant ID is acceptable: 1-64 chars of
@@ -198,7 +151,7 @@ func ValidID(id string) error {
 // cheap; a corrupt payload surfaces on first materialization instead.
 func Open(cfg Config) (*Store, error) {
 	s := &Store{cfg: cfg.withDefaults(), tenants: make(map[string]*Tenant)}
-	s.lru.budget = s.cfg.BudgetBytes
+	s.cache = registry.NewCache(s.cfg.BudgetBytes)
 	if cfg.Dir == "" {
 		return s, nil
 	}
@@ -217,92 +170,25 @@ func Open(cfg Config) (*Store, error) {
 		if err := ValidID(id); err != nil {
 			return nil, fmt.Errorf("tenant: directory %q: %w", id, err)
 		}
-		t, err := s.loadTenant(id)
+		reg, err := s.cache.Open(filepath.Join(cfg.Dir, id), s.cfg.Retain)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("tenant: %s: %w", id, err)
 		}
-		s.tenants[id] = t
+		if rc, ok := reg.Config(); ok {
+			if err := s.adoptConfig(rc); err != nil {
+				return nil, fmt.Errorf("tenant: %s: %w", id, err)
+			}
+		}
+		s.tenants[id] = &Tenant{id: id, reg: reg}
 	}
-	s.setGauges()
+	obsTenants.Set(float64(len(s.tenants)))
 	return s, nil
-}
-
-// loadTenant indexes one tenant directory. Like registry.Open, a version
-// file that fails header validation or a LIVE entry referencing a missing
-// version is a hard error: silently serving around corruption is worse
-// than refusing to start.
-func (s *Store) loadTenant(id string) (*Tenant, error) {
-	dir := filepath.Join(s.cfg.Dir, id)
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("tenant: %w", err)
-	}
-	t := &Tenant{id: id, store: s, versions: make(map[uint64]*Version)}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, "v") || !strings.HasSuffix(name, ".hdfs") {
-			continue
-		}
-		vid, err := parseVersionName(name)
-		if err != nil {
-			return nil, fmt.Errorf("tenant: %s: bad version file %q: %w", id, name, err)
-		}
-		blob, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			return nil, fmt.Errorf("tenant: %w", err)
-		}
-		cfg, hasModel, _, err := hdface.SnapshotInfo(bytes.NewReader(blob))
-		if err != nil {
-			return nil, fmt.Errorf("tenant: %s: version %d: %w", id, vid, err)
-		}
-		if !hasModel {
-			return nil, fmt.Errorf("tenant: %s: version %d holds no trained model", id, vid)
-		}
-		if err := s.adoptConfig(cfg); err != nil {
-			return nil, fmt.Errorf("tenant: %s: version %d: %w", id, vid, err)
-		}
-		t.versions[vid] = &Version{TenantID: id, ID: vid, Cfg: cfg, store: s, blob: blob}
-		if vid > t.nextID {
-			t.nextID = vid
-		}
-	}
-	data, err := os.ReadFile(filepath.Join(dir, liveFile))
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("tenant: %w", err)
-	}
-	if line := strings.TrimSpace(string(data)); line != "" {
-		vid, err := strconv.ParseUint(line, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("tenant: %s: LIVE entry %q: %w", id, line, err)
-		}
-		v, ok := t.versions[vid]
-		if !ok {
-			return nil, fmt.Errorf("tenant: %s: LIVE references version %d which is not on disk", id, vid)
-		}
-		t.live.Store(v)
-	}
-	return t, nil
-}
-
-func parseVersionName(name string) (uint64, error) {
-	digits := strings.TrimSuffix(strings.TrimPrefix(name, "v"), ".hdfs")
-	if len(digits) != 10 {
-		return 0, errors.New("want v<10 digits>.hdfs")
-	}
-	id, err := strconv.ParseUint(digits, 10, 64)
-	if err != nil {
-		return 0, err
-	}
-	if id == 0 {
-		return 0, errors.New("version 0 is reserved")
-	}
-	return id, nil
 }
 
 // adoptConfig records the first config seen and requires every later one
 // to be interchangeable with it (same bases, same feature extraction): the
 // whole store shares one pipeline, only class memory differs per tenant.
-// Callers may hold s.mu; adoptConfig locks only when they don't.
+// Caller holds s.mu (or is Open).
 func (s *Store) adoptConfig(cfg hdface.Config) error {
 	if !s.haveCfg {
 		s.baseCfg, s.haveCfg = cfg, true
@@ -330,28 +216,35 @@ func (s *Store) tenant(id string) (*Tenant, error) {
 	return t, nil
 }
 
-// getOrCreate resolves or creates a tenant.
-func (s *Store) getOrCreate(id string) (*Tenant, error) {
+// getOrCreate resolves or creates a tenant for a version of config cfg.
+// The config is adopted as, or checked against, the store's before
+// anything is created, so a rejected Put leaves no tenant (and no
+// directory) behind, and every path into the store, an existing tenant's
+// included, agrees on one base config.
+func (s *Store) getOrCreate(id string, cfg hdface.Config) (*Tenant, error) {
 	if err := ValidID(id); err != nil {
 		return nil, err
 	}
-	if t, err := s.tenant(id); err == nil {
-		return t, nil
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := s.adoptConfig(cfg); err != nil {
+		return nil, err
+	}
 	if t, ok := s.tenants[id]; ok {
 		return t, nil
 	}
 	if len(s.tenants) >= s.cfg.MaxTenants {
 		return nil, fmt.Errorf("%w (%d)", ErrTooMany, s.cfg.MaxTenants)
 	}
+	dir := ""
 	if s.cfg.Dir != "" {
-		if err := os.MkdirAll(filepath.Join(s.cfg.Dir, id), 0o755); err != nil {
-			return nil, fmt.Errorf("tenant: %w", err)
-		}
+		dir = filepath.Join(s.cfg.Dir, id)
 	}
-	t := &Tenant{id: id, store: s, versions: make(map[uint64]*Version)}
+	reg, err := s.cache.Open(dir, s.cfg.Retain)
+	if err != nil {
+		return nil, fmt.Errorf("tenant: %s: %w", id, err)
+	}
+	t := &Tenant{id: id, reg: reg}
 	s.tenants[id] = t
 	obsTenants.Set(float64(len(s.tenants)))
 	return t, nil
@@ -371,39 +264,11 @@ func (s *Store) Put(tenantID string, cfg hdface.Config, m *hdc.Model) (uint64, e
 	if m.D != cfg.D {
 		return 0, fmt.Errorf("tenant: Put: model D=%d != config D=%d", m.D, cfg.D)
 	}
-	t, err := s.getOrCreate(tenantID)
+	t, err := s.getOrCreate(tenantID, cfg)
 	if err != nil {
 		return 0, err
 	}
-	s.mu.Lock()
-	err = s.adoptConfig(cfg)
-	s.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.putLocked(cfg, m)
-}
-
-// putLocked encodes and stores a version; caller holds t.mu.
-func (t *Tenant) putLocked(cfg hdface.Config, m *hdc.Model) (uint64, error) {
-	var buf bytes.Buffer
-	if err := hdface.EncodeSnapshotV2(&buf, cfg, m); err != nil {
-		return 0, fmt.Errorf("tenant: encode: %w", err)
-	}
-	id := t.nextID + 1
-	v := &Version{TenantID: t.id, ID: id, Cfg: cfg, store: t.store, blob: buf.Bytes()}
-	if t.store.cfg.Dir != "" {
-		if err := t.writeAtomic(fmt.Sprintf(versionPattern, id), v.blob); err != nil {
-			return 0, err
-		}
-	}
-	t.nextID = id
-	t.versions[id] = v
-	obsVersions.Set(float64(t.store.nVersions.Add(1)))
-	t.gcLocked()
-	return id, nil
+	return t.reg.Put(cfg, m)
 }
 
 // Promote makes a stored version the tenant's live model. The swap itself
@@ -415,22 +280,13 @@ func (s *Store) Promote(tenantID string, id uint64) error {
 	if err != nil {
 		return err
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.promoteLocked(id)
+	return t.promote(id)
 }
 
-func (t *Tenant) promoteLocked(id uint64) error {
-	v, ok := t.versions[id]
-	if !ok {
-		return fmt.Errorf("tenant: %s: no version %d", t.id, id)
+func (t *Tenant) promote(id uint64) error {
+	if err := t.reg.Promote(id); err != nil {
+		return fmt.Errorf("tenant: %s: %w", t.id, err)
 	}
-	if t.store.cfg.Dir != "" {
-		if err := t.writeAtomic(liveFile, []byte(strconv.FormatUint(id, 10)+"\n")); err != nil {
-			return err
-		}
-	}
-	t.live.Store(v)
 	t.swaps.Add(1)
 	obsSwaps.Inc()
 	return nil
@@ -446,82 +302,42 @@ func (s *Store) Seed(tenantID string, cfg hdface.Config, m *hdc.Model) (uint64, 
 	return id, s.Promote(tenantID, id)
 }
 
-// Live returns the tenant's live version without materializing it.
-func (s *Store) Live(tenantID string) (*Version, error) {
+// Registry resolves a tenant's model lineage for one request, counting
+// the request against the tenant.
+func (s *Store) Registry(tenantID string) (*registry.Registry, error) {
 	t, err := s.tenant(tenantID)
 	if err != nil {
 		return nil, err
 	}
-	v := t.live.Load()
+	t.requests.Add(1)
+	return t.reg, nil
+}
+
+// Live returns the tenant's live version without materializing it.
+func (s *Store) Live(tenantID string) (*registry.Version, error) {
+	t, err := s.tenant(tenantID)
+	if err != nil {
+		return nil, err
+	}
+	v := t.reg.Live()
 	if v == nil {
-		return nil, fmt.Errorf("%w for tenant %q", ErrNoLive, tenantID)
+		return nil, fmt.Errorf("tenant: %s: %w", tenantID, ErrNoLive)
 	}
 	return v, nil
 }
 
 // Model resolves the tenant's live version and materializes it, counting
 // one scoring request against the tenant.
-func (s *Store) Model(tenantID string) (*Version, *hdc.Model, error) {
-	t, err := s.tenant(tenantID)
+func (s *Store) Model(tenantID string) (*registry.Version, *hdc.Model, error) {
+	reg, err := s.Registry(tenantID)
 	if err != nil {
 		return nil, nil, err
 	}
-	v := t.live.Load()
-	if v == nil {
-		return nil, nil, fmt.Errorf("%w for tenant %q", ErrNoLive, tenantID)
-	}
-	m, err := v.Model()
+	v, m, err := reg.LiveModel()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("tenant: %s: %w", tenantID, err)
 	}
-	t.requests.Add(1)
 	return v, m, nil
-}
-
-// Model returns the decoded model, materializing it on first use. The
-// fast path is one atomic load plus an LRU touch; the slow path decodes
-// the compact blob once per (version, eviction) under the per-version
-// gate, so a thundering herd of first users performs a single decode.
-func (v *Version) Model() (*hdc.Model, error) {
-	if m := v.mat.Load(); m != nil {
-		v.store.lru.touch(v)
-		return m, nil
-	}
-	v.matMu.Lock()
-	defer v.matMu.Unlock()
-	if m := v.mat.Load(); m != nil {
-		v.store.lru.touch(v)
-		return m, nil
-	}
-	_, m, err := hdface.DecodeSnapshotV2(bytes.NewReader(v.blob))
-	if err != nil {
-		return nil, fmt.Errorf("tenant: %s: version %d: %w", v.TenantID, v.ID, err)
-	}
-	if m == nil {
-		return nil, fmt.Errorf("tenant: %s: version %d holds no trained model", v.TenantID, v.ID)
-	}
-	v.matBytes = materializedBytes(m)
-	v.mat.Store(m)
-	v.store.lru.insert(v)
-	obsMaterializations.Inc()
-	return m, nil
-}
-
-// BlobBytes returns the size of the always-resident compact blob.
-func (v *Version) BlobBytes() int { return len(v.blob) }
-
-// Materialized reports whether the decoded model is currently cached.
-func (v *Version) Materialized() bool { return v.mat.Load() != nil }
-
-// materializedBytes estimates the decoded footprint: float accumulators,
-// binarized words, slice headers.
-func materializedBytes(m *hdc.Model) int64 {
-	words := int64((m.D + 63) / 64)
-	b := int64(m.K) * int64(m.D) * 8 // Classes
-	if m.Bin != nil {
-		b += int64(m.K) * words * 8
-	}
-	return b + 512
 }
 
 // Feedback records one labelled sample for a tenant. Once the tenant's
@@ -535,13 +351,9 @@ func (s *Store) Feedback(tenantID string, f *hv.Vector, label int) (uint64, erro
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	live := t.live.Load()
-	if live == nil {
-		return 0, fmt.Errorf("%w for tenant %q", ErrNoLive, tenantID)
-	}
-	m, err := live.Model()
+	_, m, err := t.reg.LiveModel()
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("tenant: %s: %w", tenantID, err)
 	}
 	if f == nil || f.D() != m.D {
 		return 0, fmt.Errorf("%w: feature dimensionality mismatch", ErrBadFeedback)
@@ -566,75 +378,20 @@ func (s *Store) Feedback(tenantID string, f *hv.Vector, label int) (uint64, erro
 			break
 		}
 	}
-	// Same finalize salt as Pipeline.Fit and the online trainer, so a
-	// tenant's binarization is reproducible from its config alone.
-	cand.Finalize(live.Cfg.Seed ^ 0xf1a1)
+	cfg, _ := t.reg.Config()
+	cand.Finalize(cfg.FinalizeSeed())
 	t.batchFeats = t.batchFeats[:0]
 	t.batchLabels = t.batchLabels[:0]
-	id, err := t.putLocked(live.Cfg, cand)
+	id, err := t.reg.Put(cfg, cand)
 	if err != nil {
 		return 0, err
 	}
-	if err := t.promoteLocked(id); err != nil {
+	if err := t.promote(id); err != nil {
 		return 0, err
 	}
 	t.rounds.Add(1)
 	obsRounds.Inc()
 	return id, nil
-}
-
-// gcLocked enforces the per-tenant retention bound: delete the oldest
-// versions that are neither live nor newest. Caller holds t.mu.
-func (t *Tenant) gcLocked() {
-	retain := t.store.cfg.Retain
-	if retain <= 0 || len(t.versions) <= retain {
-		return
-	}
-	liveID := uint64(0)
-	if v := t.live.Load(); v != nil {
-		liveID = v.ID
-	}
-	ids := make([]uint64, 0, len(t.versions))
-	for id := range t.versions {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if len(t.versions) <= retain {
-			break
-		}
-		if id == liveID || id == t.nextID {
-			continue
-		}
-		v := t.versions[id]
-		delete(t.versions, id)
-		t.store.lru.remove(v)
-		obsVersions.Set(float64(t.store.nVersions.Add(-1)))
-		if t.store.cfg.Dir != "" {
-			os.Remove(filepath.Join(t.store.cfg.Dir, t.id, fmt.Sprintf(versionPattern, id)))
-		}
-	}
-}
-
-// writeAtomic persists one file under the tenant dir via temp + rename.
-func (t *Tenant) writeAtomic(name string, data []byte) error {
-	dir := filepath.Join(t.store.cfg.Dir, t.id)
-	tmp, err := os.CreateTemp(dir, ".tenant-*")
-	if err != nil {
-		return fmt.Errorf("tenant: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("tenant: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("tenant: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
-		return fmt.Errorf("tenant: %w", err)
-	}
-	return nil
 }
 
 // Info describes one tenant for listings and per-tenant counters.
@@ -652,6 +409,34 @@ type Info struct {
 
 // Tenants lists every tenant in ID order.
 func (s *Store) Tenants() []Info {
+	ts := s.snapshot()
+	out := make([]Info, 0, len(ts))
+	for _, t := range ts {
+		versions := t.reg.List()
+		info := Info{
+			ID:       t.id,
+			Versions: len(versions),
+			Requests: t.requests.Load(),
+			Feedback: t.feedback.Load(),
+			Rounds:   t.rounds.Load(),
+			Swaps:    t.swaps.Load(),
+		}
+		for _, vi := range versions {
+			if v, err := t.reg.Get(vi.ID); err == nil {
+				info.BlobBytes += int64(v.BlobBytes())
+			}
+		}
+		if v := t.reg.Live(); v != nil {
+			info.LiveVersion = v.ID
+			info.Materialized = v.Materialized()
+		}
+		out = append(out, info)
+	}
+	return out
+}
+
+// snapshot returns the tenants in ID order.
+func (s *Store) snapshot() []*Tenant {
 	s.mu.RLock()
 	ts := make([]*Tenant, 0, len(s.tenants))
 	for _, t := range s.tenants {
@@ -659,28 +444,7 @@ func (s *Store) Tenants() []Info {
 	}
 	s.mu.RUnlock()
 	sort.Slice(ts, func(i, j int) bool { return ts[i].id < ts[j].id })
-	out := make([]Info, 0, len(ts))
-	for _, t := range ts {
-		t.mu.Lock()
-		info := Info{
-			ID:       t.id,
-			Versions: len(t.versions),
-			Requests: t.requests.Load(),
-			Feedback: t.feedback.Load(),
-			Rounds:   t.rounds.Load(),
-			Swaps:    t.swaps.Load(),
-		}
-		for _, v := range t.versions {
-			info.BlobBytes += int64(len(v.blob))
-		}
-		if v := t.live.Load(); v != nil {
-			info.LiveVersion = v.ID
-			info.Materialized = v.Materialized()
-		}
-		t.mu.Unlock()
-		out = append(out, info)
-	}
-	return out
+	return ts
 }
 
 // Stats summarises the store.
@@ -696,24 +460,16 @@ type Stats struct {
 
 // Stats returns store-wide totals.
 func (s *Store) Stats() Stats {
-	s.mu.RLock()
-	st := Stats{Tenants: len(s.tenants), BudgetBytes: s.cfg.BudgetBytes}
-	ts := make([]*Tenant, 0, len(s.tenants))
-	for _, t := range s.tenants {
-		ts = append(ts, t)
+	cs := s.cache.Stats()
+	return Stats{
+		Tenants:           s.Len(),
+		Versions:          cs.Versions,
+		BlobBytes:         cs.BlobBytes,
+		MaterializedCount: cs.Materialized,
+		MaterializedBytes: cs.MaterializedBytes,
+		BudgetBytes:       s.cfg.BudgetBytes,
+		Evictions:         cs.Evictions,
 	}
-	s.mu.RUnlock()
-	for _, t := range ts {
-		t.mu.Lock()
-		st.Versions += len(t.versions)
-		for _, v := range t.versions {
-			st.BlobBytes += int64(len(v.blob))
-		}
-		t.mu.Unlock()
-	}
-	st.MaterializedCount, st.MaterializedBytes = s.lru.stats()
-	st.Evictions = s.lru.evictions.Load()
-	return st
 }
 
 // Len returns the tenant count.
@@ -721,16 +477,4 @@ func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.tenants)
-}
-
-// setGauges refreshes the store-wide gauges from the not-yet-shared store
-// (Open only — once concurrent, the gauges track mutations incrementally).
-func (s *Store) setGauges() {
-	total := int64(0)
-	for _, t := range s.tenants {
-		total += int64(len(t.versions))
-	}
-	s.nVersions.Store(total)
-	obsTenants.Set(float64(len(s.tenants)))
-	obsVersions.Set(float64(total))
 }

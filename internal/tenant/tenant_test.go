@@ -13,6 +13,8 @@ import (
 	"hdface/internal/dataset"
 	"hdface/internal/hdc"
 	"hdface/internal/hv"
+	"hdface/internal/obs"
+	"hdface/internal/registry"
 )
 
 // testPipeline trains a small face/non-face pipeline whose model is
@@ -194,7 +196,18 @@ func TestLazyMatchesEagerV1(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	p := testPipeline(t, 256, 4)
 	m := p.Model()
-	one := materializedBytes(m)
+	// One model's materialized footprint, measured in a scratch store.
+	probe, err := Open(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := probe.Seed("probe", p.Config(), m); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := probe.Model("probe"); err != nil {
+		t.Fatal(err)
+	}
+	one := probe.Stats().MaterializedBytes
 	s, err := Open(Config{BudgetBytes: 3 * one})
 	if err != nil {
 		t.Fatal(err)
@@ -428,5 +441,112 @@ func TestHostileBlobOnDisk(t *testing.T) {
 	}
 	if _, _, err := s2.Model("acme"); err == nil {
 		t.Fatal("truncated payload materialized without error")
+	}
+}
+
+// TestIncompatiblePutCreatesNoTenant: a Put whose config the store rejects
+// leaves no empty tenant behind — nothing counted by Len (and so against
+// MaxTenants), nothing listed, no directory.
+func TestIncompatiblePutCreatesNoTenant(t *testing.T) {
+	p := testPipeline(t, 256, 12)
+	dir := t.TempDir()
+	s, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Seed("acme", p.Config(), p.Model()); err != nil {
+		t.Fatal(err)
+	}
+	other := p.Config()
+	other.Seed++
+	if _, err := s.Put("newco", other, p.Model()); err == nil {
+		t.Fatal("incompatible config accepted")
+	}
+	if n := s.Len(); n != 1 {
+		t.Fatalf("Len after rejected Put = %d, want 1", n)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "newco")); !os.IsNotExist(err) {
+		t.Fatalf("rejected Put left a tenant directory behind (stat err %v)", err)
+	}
+}
+
+// TestPutIntoEmptyTenantAdoptsConfig: a tenant directory with no versions
+// (a first Put whose file write failed) gives Open no config to adopt. A
+// Put into that existing tenant must still adopt the store's base config,
+// so a later incompatible Put for another tenant is refused.
+func TestPutIntoEmptyTenantAdoptsConfig(t *testing.T) {
+	p := testPipeline(t, 256, 14)
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "acme"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.BaseConfig(); ok {
+		t.Fatal("empty tenant directory gave the store a base config")
+	}
+	if _, err := s.Put("acme", p.Config(), p.Model()); err != nil {
+		t.Fatal(err)
+	}
+	other := p.Config()
+	other.Seed++
+	if _, err := s.Put("newco", other, p.Model()); err == nil {
+		t.Fatal("incompatible config accepted for a second tenant")
+	}
+}
+
+// TestTenantPromoteLeavesRegistryMetrics: the hdface_registry_* metrics
+// describe the single-model registry; promoting a tenant version (each
+// tenant is a registry lineage too) must not move them.
+func TestTenantPromoteLeavesRegistryMetrics(t *testing.T) {
+	if !obs.Enabled() {
+		obs.Enable()
+		defer obs.Disable()
+	}
+	p := testPipeline(t, 256, 13)
+	reg, err := registry.Open("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := reg.Put(p.Config(), p.Model())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Promote(id); err != nil {
+		t.Fatal(err)
+	}
+	liveGauge := obs.NewGauge("hdface_registry_live_version", "")
+	promotes := obs.NewCounter("hdface_registry_promotes_total", "")
+	live0, promotes0 := liveGauge.Value(), promotes.Value()
+	if live0 != float64(id) {
+		t.Fatalf("registry live gauge = %v after promoting %d", live0, id)
+	}
+
+	s, err := Open(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Seed("acme", p.Config(), p.Model()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		tid, err := s.Put("acme", p.Config(), p.Model())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Promote("acme", tid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v, err := s.Live("acme"); err != nil || v.ID != 4 {
+		t.Fatalf("tenant live = %+v, %v; want version 4", v, err)
+	}
+	if got := liveGauge.Value(); got != live0 {
+		t.Fatalf("hdface_registry_live_version moved on a tenant promote: %v -> %v", live0, got)
+	}
+	if got := promotes.Value(); got != promotes0 {
+		t.Fatalf("hdface_registry_promotes_total moved on a tenant promote: %d -> %d", promotes0, got)
 	}
 }

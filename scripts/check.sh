@@ -19,6 +19,12 @@ go vet ./...
 echo "== go test -race -shuffle=on =="
 go test -race -shuffle=on ./...
 
+echo "== benchmark module =="
+# perfbench/ is a Go module of its own, so ./... above never compiles it,
+# yet it drives the tenant, serve, obs, trace and hdhog APIs: vet and test
+# it here so an API change cannot silently break the benchmark.
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "== resilience suite (race, bounded) =="
 # The cancellation/panic/fault paths are the ones a flaky scheduler can
 # wedge: bound them so a leaked goroutine fails fast instead of hanging CI.

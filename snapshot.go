@@ -16,8 +16,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
+	"hdface/internal/atomicfile"
 	"hdface/internal/hdc"
 )
 
@@ -279,24 +279,16 @@ func validateSnapshotConfig(cfg Config) error {
 	return nil
 }
 
-// SaveSnapshotFile writes the snapshot to path via a same-directory
-// temporary file and rename, so a crash mid-write never leaves a torn
+// SaveSnapshotFile writes the snapshot to path durably (temp file, fsync,
+// rename, directory fsync), so a crash mid-write never leaves a torn
 // snapshot where a daemon expects a valid one.
 func (p *Pipeline) SaveSnapshotFile(path string) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".snapshot-*")
-	if err != nil {
-		return fmt.Errorf("hdface: snapshot temp: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if err := p.SaveSnapshot(tmp); err != nil {
-		tmp.Close()
+	var buf bytes.Buffer
+	if err := p.SaveSnapshot(&buf); err != nil {
 		return err
 	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("hdface: snapshot close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("hdface: snapshot rename: %w", err)
+	if err := atomicfile.WriteFile(path, buf.Bytes()); err != nil {
+		return fmt.Errorf("hdface: snapshot write: %w", err)
 	}
 	return nil
 }
