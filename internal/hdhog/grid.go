@@ -38,14 +38,20 @@ type CellGrid struct {
 // before extracting, so the grid is bit-identical for any worker count and
 // any goroutine schedule. Work counters of the forks are folded back into
 // e before returning.
+//
+// Storage is per row, not per cell: a row's bin means are extracted into
+// the extractor's arena, then its non-empty bins are copied into one
+// exact-size vector slab. The Vecs and Counts of all cells share two
+// grid-wide arrays.
 func (e *Extractor) LevelGrid(img *imgproc.Image, seed uint64, workers int) *CellGrid {
-	cw, ch := img.W/e.P.CellSize, img.H/e.P.CellSize
+	cs, bins := e.P.CellSize, e.P.Bins
+	cw, ch := img.W/cs, img.H/cs
 	g := &CellGrid{
 		CW:      cw,
 		CH:      ch,
-		bins:    e.P.Bins,
+		bins:    bins,
 		Cells:   make([]CellBins, cw*ch),
-		weights: make([]int32, cw*ch*e.P.Bins),
+		weights: make([]int32, cw*ch*bins),
 	}
 	if ch == 0 || cw == 0 {
 		return g
@@ -66,28 +72,48 @@ func (e *Extractor) LevelGrid(img *imgproc.Image, seed uint64, workers int) *Cel
 	for w := 1; w < workers; w++ {
 		exts[w] = e.Fork()
 	}
+	d, rowBins := e.codec.D(), cw*bins
+	vecs := make([]*hv.Vector, cw*ch*bins)
+	counts := make([]int, cw*ch*bins)
+	for gi := range g.Cells {
+		s, t := gi*bins, (gi+1)*bins
+		g.Cells[gi] = CellBins{Vecs: vecs[s:t:t], Counts: counts[s:t:t]}
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			ext := exts[w]
+			row := ext.ar.rowBuf(d, rowBins)
 			for cy := w; cy < ch; cy += workers {
 				ext.Reseed(hv.Mix64(seed, uint64(cy)))
+				base := cy * rowBins
+				rc := counts[base : base+rowBins]
 				for cx := 0; cx < cw; cx++ {
-					gi := cy*cw + cx
-					cb := ext.cellHist(img, cx*e.P.CellSize, cy*e.P.CellSize, true)
-					g.Cells[gi] = cb
-					for b, cnt := range cb.Counts {
-						if cnt == 0 {
-							continue
-						}
-						val := ext.codec.Decode(cb.Vecs[b])
-						if val < 0 {
-							val = 0
-						}
-						g.weights[gi*e.P.Bins+b] = int32(float64(cnt)*val*weightScale + 0.5)
+					s, t := cx*bins, (cx+1)*bins
+					ext.cellHist(img, cx*cs, cy*cs, row[s:t], rc[s:t], true)
+				}
+				n := 0
+				for _, cnt := range rc {
+					if cnt != 0 {
+						n++
 					}
+				}
+				slab := hv.NewSlab(d, n)
+				for i, cnt := range rc {
+					if cnt == 0 {
+						continue
+					}
+					v := &slab[0]
+					slab = slab[1:]
+					v.CopyFrom(&row[i])
+					vecs[base+i] = v
+					val := ext.codec.Decode(v)
+					if val < 0 {
+						val = 0
+					}
+					g.weights[base+i] = int32(float64(cnt)*val*weightScale + 0.5)
 				}
 			}
 		}(w)

@@ -156,3 +156,28 @@ func TestWindowFeaturePanicsOutsideGrid(t *testing.T) {
 	}()
 	e.WindowFeature(g, 2, 2, 6) // 2+6 > 6 cells
 }
+
+// TestExtractionAllocatesOnlyRetainedStorage pins the arena contract: once
+// an extractor is warm, CellHistogramHVs allocates only the storage it
+// returns (the CellBins slice, one vector slab, one Vecs and one Counts
+// array) whatever the cell count, and LevelGrid adds a fixed few
+// allocations per cell row instead of several per cell.
+func TestExtractionAllocatesOnlyRetainedStorage(t *testing.T) {
+	for _, l1 := range []bool{false, true} {
+		e := New(stoch.NewCodec(1000, 8), Params{MagnitudeL1: l1})
+		for _, size := range []int{16, 40} {
+			img := textured(size, size, 12)
+			e.CellHistogramHVs(img)
+			if n := testing.AllocsPerRun(3, func() { e.CellHistogramHVs(img) }); n != 5 {
+				t.Errorf("l1=%v %dx%d: CellHistogramHVs allocates %v times, want 5", l1, size, size, n)
+			}
+		}
+		img := textured(64, 48, 13)
+		e.LevelGrid(img, 1, 1)
+		rows := float64(img.H / e.P.CellSize)
+		n := testing.AllocsPerRun(3, func() { e.LevelGrid(img, 1, 1) })
+		if n > 12+2*rows {
+			t.Errorf("l1=%v: LevelGrid allocates %v times for %v rows, want <= %v", l1, n, rows, 12+2*rows)
+		}
+	}
+}

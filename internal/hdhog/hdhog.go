@@ -76,10 +76,13 @@ type Extractor struct {
 	codec *stoch.Codec
 	rng   *hv.RNG
 
-	levels []*hv.Vector // pixel value quantisation table
-	lows   []boundary   // boundaries in [0, pi/2): theta_1..theta_k
-	highs  []boundary   // boundaries in (pi/2, pi): theta_k+1..theta_B-1
-	midBin int          // bin containing pi/2
+	// flips is the pixel value quantisation table, stored as flip masks
+	// level ^ V1 so a fetch is one rotation and one XOR
+	// (stoch.Codec.DecorrelateMaskInto). Read-only; forks share it.
+	flips  []*hv.Vector
+	lows   []boundary // boundaries in [0, pi/2): theta_1..theta_k
+	highs  []boundary // boundaries in (pi/2, pi): theta_k+1..theta_B-1
+	midBin int        // bin containing pi/2
 
 	// idBase seeds positional-ID rematerialization: the ID of (cell c,
 	// bin b) is the pure function hv.NewRemat(idSeed(c, b), D), so any
@@ -99,6 +102,10 @@ type Extractor struct {
 	// a live extractor) and owned exclusively: Fork allocates fresh ones.
 	scratch []int32
 	tieBuf  *hv.Vector
+
+	// ar holds every temporary of cell extraction; exclusively owned like
+	// scratch, so Fork allocates a fresh one.
+	ar *arena
 
 	// GridHook, when set, is invoked on every freshly extracted CellGrid —
 	// the fault-injection seam of the chaos harness, which corrupts cell
@@ -143,9 +150,10 @@ func New(codec *stoch.Codec, p Params) *Extractor {
 	// stochastic noise of every downstream gradient, magnitude and
 	// comparison. The two extreme colours are near-orthogonal signed
 	// hypervectors, exactly the paper's Figure 1a construction.
-	e.levels = make([]*hv.Vector, p.PixelLevels)
-	for i := range e.levels {
-		e.levels[i] = codec.Construct(2*float64(i)/float64(p.PixelLevels-1) - 1)
+	e.flips = make([]*hv.Vector, p.PixelLevels)
+	for i := range e.flips {
+		m := codec.Construct(2*float64(i)/float64(p.PixelLevels-1) - 1)
+		e.flips[i] = m.Xor(m, codec.One())
 	}
 	binW := math.Pi / float64(p.Bins)
 	e.midBin = int(math.Pi / 2 / binW) // bin containing pi/2
@@ -166,7 +174,45 @@ func New(codec *stoch.Codec, p Params) *Extractor {
 			e.highs = append(e.highs, b)
 		}
 	}
+	e.ar = newArena(codec.D(), e.SitesPerCell())
 	return e
+}
+
+// arena is an extractor's scratch for cell extraction: pixel fetches,
+// gradients, absolute values, tan-compare and square temporaries, one
+// magnitude vote per gradient site with its bin, the tree-mean working set
+// and a row of bin means for LevelGrid. With it, extracting a cell
+// allocates nothing beyond the storage the caller keeps.
+type arena struct {
+	px             [4]*hv.Vector // left, right, up, down pixel fetches
+	gx, gy, ax, ay *hv.Vector    // gradient and its absolute value
+	t0, t1         *hv.Vector    // tan-compare and square temporaries
+	votes          []hv.Vector   // one magnitude per voting site
+	voteBin        []int         // bin of each vote
+	nodes          []*hv.Vector  // treeMean working set
+	ns             []int         // treeMean fan-in per node
+	row            []hv.Vector   // LevelGrid: bin means of one cell row
+}
+
+func newArena(d, sites int) *arena {
+	s := hv.NewSlab(d, 10+sites)
+	return &arena{
+		px: [4]*hv.Vector{&s[0], &s[1], &s[2], &s[3]},
+		gx: &s[4], gy: &s[5], ax: &s[6], ay: &s[7], t0: &s[8], t1: &s[9],
+		votes:   s[10:],
+		voteBin: make([]int, sites),
+		nodes:   make([]*hv.Vector, 0, sites),
+		ns:      make([]int, sites),
+	}
+}
+
+// rowBuf returns n scratch vectors for one LevelGrid cell row, growing the
+// buffer when a level is wider than any seen before.
+func (a *arena) rowBuf(d, n int) []hv.Vector {
+	if len(a.row) < n {
+		a.row = hv.NewSlab(d, n)
+	}
+	return a.row[:n]
 }
 
 // Codec returns the underlying stochastic codec (for stats inspection).
@@ -182,6 +228,7 @@ func (e *Extractor) Fork() *Extractor {
 	f.rng = hv.NewRNG(e.rng.Uint64())
 	f.scratch = make([]int32, e.codec.D())
 	f.tieBuf = hv.New(e.codec.D())
+	f.ar = newArena(e.codec.D(), e.SitesPerCell())
 	f.Pixels = 0
 	return &f
 }
@@ -230,18 +277,18 @@ func (e *Extractor) id(c, b int) *hv.Vector {
 	return v
 }
 
-// pixel returns a decorrelated hypervector for the normalised pixel value
-// v in [0, 1], via the quantisation table (paper Figure 1a: correlative
-// base hypervectors between the two extreme colours).
-func (e *Extractor) pixel(v float64) *hv.Vector {
+// pixelInto writes a decorrelated hypervector for the normalised pixel
+// value v in [0, 1] into dst, via the quantisation table (paper Figure 1a:
+// correlative base hypervectors between the two extreme colours).
+func (e *Extractor) pixelInto(dst *hv.Vector, v float64) *hv.Vector {
 	if v < 0 {
 		v = 0
 	} else if v > 1 {
 		v = 1
 	}
-	idx := int(v*float64(len(e.levels)-1) + 0.5)
+	idx := int(v*float64(len(e.flips)-1) + 0.5)
 	// A fresh random rotation per fetch keeps reuses pairwise independent.
-	return e.codec.DecorrelateShift(e.levels[idx], 1+e.rng.Intn(e.codec.D()-1))
+	return e.codec.DecorrelateMaskInto(dst, e.flips[idx], 1+e.rng.Intn(e.codec.D()-1))
 }
 
 // GradientHV returns the hypervectors of the scaled gradient components at
@@ -249,38 +296,63 @@ func (e *Extractor) pixel(v float64) *hv.Vector {
 // (I'(x+1,y)-I'(x-1,y))/2 and (I'(x,y+1)-I'(x,y-1))/2 where I' = 2*I - 1,
 // i.e. exactly twice the classical [0,1]-normalised centred difference.
 func (e *Extractor) GradientHV(img *imgproc.Image, x, y int) (gx, gy *hv.Vector) {
-	left := e.pixel(img.Norm(x-1, y))
-	right := e.pixel(img.Norm(x+1, y))
-	up := e.pixel(img.Norm(x, y-1))
-	down := e.pixel(img.Norm(x, y+1))
-	gx = e.codec.Sub(right, left)
-	gy = e.codec.Sub(down, up)
-	return
+	d := e.codec.D()
+	gx, gy = hv.New(d), hv.New(d)
+	e.gradientInto(gx, gy, img, x, y)
+	return gx, gy
+}
+
+// gradientInto is GradientHV writing into gx and gy.
+func (e *Extractor) gradientInto(gx, gy *hv.Vector, img *imgproc.Image, x, y int) {
+	px := e.ar.px
+	left := e.pixelInto(px[0], img.Norm(x-1, y))
+	right := e.pixelInto(px[1], img.Norm(x+1, y))
+	up := e.pixelInto(px[2], img.Norm(x, y-1))
+	down := e.pixelInto(px[3], img.Norm(x, y+1))
+	e.codec.SubInto(gx, right, left)
+	e.codec.SubInto(gy, down, up)
 }
 
 // MagnitudeHV returns the gradient magnitude hypervector: the paper's
 // sqrt((gx^2+gy^2)/2), or (|gx|+|gy|)/2 when MagnitudeL1 is set.
 func (e *Extractor) MagnitudeHV(gx, gy *hv.Vector) *hv.Vector {
+	return e.magnitudeInto(hv.New(e.codec.D()), gx, gy)
+}
+
+// magnitudeInto is MagnitudeHV writing into dst.
+func (e *Extractor) magnitudeInto(dst, gx, gy *hv.Vector) *hv.Vector {
+	c, a := e.codec, e.ar
 	if e.P.MagnitudeL1 {
-		return e.codec.Add(e.codec.Abs(gx), e.codec.Abs(gy))
+		return c.WeightedAvgInto(dst, 0.5, e.abs(a.ax, gx, c.Sign(gx)), e.abs(a.ay, gy, c.Sign(gy)))
 	}
-	sum := e.codec.Add(e.codec.Square(gx), e.codec.Square(gy))
-	return e.codec.Sqrt(sum)
+	sqx := c.MulInto(a.t0, gx, c.DecorrelateInto(a.t0, gx))
+	sqy := c.MulInto(a.t1, gy, c.DecorrelateInto(a.t1, gy))
+	return c.SqrtInto(dst, c.WeightedAvgInto(sqx, 0.5, sqx, sqy))
+}
+
+// abs returns |v| given its decoded sign: v itself when the sign is
+// non-negative, else -v written into buf. It is Codec.Abs without the
+// copy, counting the same operations.
+func (e *Extractor) abs(buf, v *hv.Vector, sign int) *hv.Vector {
+	if sign < 0 {
+		return e.codec.NegInto(buf, v)
+	}
+	return v
 }
 
 // tanGreater reports whether tan = |gy|/|gx| exceeds the boundary, using
 // the paper's alpha construction. absGx/absGy are magnitude hypervectors.
 func (e *Extractor) tanGreater(absGx, absGy *hv.Vector, b boundary) bool {
-	c := e.codec
+	c, t := e.codec, e.ar.t0
 	var alpha *hv.Vector
 	if !b.reciprocal {
 		// alpha = (|gy| - r|gx|)/2
-		rgx := c.Mul(c.Decorrelate(b.vec), absGx)
-		alpha = c.Sub(absGy, rgx)
+		rgx := c.MulInto(t, c.DecorrelateInto(t, b.vec), absGx)
+		alpha = c.SubInto(t, absGy, rgx)
 	} else {
 		// r > 1: alpha = ((1/r)|gy| - |gx|)/2
-		rgy := c.Mul(c.Decorrelate(b.vec), absGy)
-		alpha = c.Sub(rgy, absGx)
+		rgy := c.MulInto(t, c.DecorrelateInto(t, b.vec), absGy)
+		alpha = c.SubInto(t, rgy, absGx)
 	}
 	return c.Decode(alpha) > 0
 }
@@ -295,17 +367,7 @@ func (e *Extractor) BinOf(gx, gy *hv.Vector) int {
 		// Vertical gradient direction: orientation pi/2.
 		return e.midBin
 	}
-	var absGx, absGy *hv.Vector
-	if sx < 0 {
-		absGx = c.Neg(gx)
-	} else {
-		absGx = gx.Clone()
-	}
-	if sy < 0 {
-		absGy = c.Neg(gy)
-	} else {
-		absGy = gy.Clone()
-	}
+	absGx, absGy := e.abs(e.ar.ax, gx, sx), e.abs(e.ar.ay, gy, sy)
 	if sx*sy >= 0 {
 		// theta in [0, pi/2): ascend through the low boundaries; the first
 		// boundary NOT exceeded closes the bin.
@@ -330,29 +392,29 @@ func (e *Extractor) BinOf(gx, gy *hv.Vector) int {
 // stochastic mean with a balanced tree of weighted averages. Unlike an
 // incremental (left-leaning) mean, whose selection noise grows linearly
 // with the number of elements, the balanced reduction keeps the compounded
-// variance O(1/D) regardless of fan-in.
+// variance O(1/D) regardless of fan-in. It reduces in place: each average
+// overwrites its left operand, vs is reordered, and the returned vector
+// is one of its elements.
 func (e *Extractor) treeMean(vs []*hv.Vector) *hv.Vector {
-	type node struct {
-		v *hv.Vector
-		n int
+	ns := e.ar.ns[:len(vs)]
+	for i := range ns {
+		ns[i] = 1
 	}
-	nodes := make([]node, len(vs))
-	for i, v := range vs {
-		nodes[i] = node{v, 1}
-	}
-	for len(nodes) > 1 {
-		next := nodes[:0]
-		for i := 0; i+1 < len(nodes); i += 2 {
-			a, b := nodes[i], nodes[i+1]
-			p := float64(a.n) / float64(a.n+b.n)
-			next = append(next, node{e.codec.WeightedAvg(p, a.v, b.v), a.n + b.n})
+	for len(vs) > 1 {
+		m := 0
+		for i := 0; i+1 < len(vs); i += 2 {
+			p := float64(ns[i]) / float64(ns[i]+ns[i+1])
+			vs[m] = e.codec.WeightedAvgInto(vs[i], p, vs[i], vs[i+1])
+			ns[m] = ns[i] + ns[i+1]
+			m++
 		}
-		if len(nodes)%2 == 1 {
-			next = append(next, nodes[len(nodes)-1])
+		if len(vs)%2 == 1 {
+			vs[m], ns[m] = vs[len(vs)-1], ns[len(vs)-1]
+			m++
 		}
-		nodes = next
+		vs, ns = vs[:m], ns[:m]
 	}
-	return nodes[0].v
+	return vs[0]
 }
 
 // CellBins holds the per-cell histogram in hyperspace: for every
@@ -365,53 +427,65 @@ type CellBins struct {
 	Counts []int
 }
 
-// CellHistogramHVs computes the histogram hypervectors of every cell.
+// CellHistogramHVs computes the histogram hypervectors of every cell. All
+// cells share one vector slab and one Vecs and one Counts array, so the
+// call allocates a fixed handful of times whatever the image size.
 func (e *Extractor) CellHistogramHVs(img *imgproc.Image) []CellBins {
-	cw, ch := img.W/e.P.CellSize, img.H/e.P.CellSize
+	cs, bins := e.P.CellSize, e.P.Bins
+	cw, ch := img.W/cs, img.H/cs
 	out := make([]CellBins, cw*ch)
-	for cy := 0; cy < ch; cy++ {
-		for cx := 0; cx < cw; cx++ {
-			out[cy*cw+cx] = e.cellHist(img, cx*e.P.CellSize, cy*e.P.CellSize, false)
-		}
+	vecs := hv.NewSlab(e.codec.D(), cw*ch*bins)
+	ptrs := make([]*hv.Vector, len(vecs))
+	counts := make([]int, len(vecs))
+	for i := range vecs {
+		ptrs[i] = &vecs[i]
+	}
+	for ci := range out {
+		s, t := ci*bins, (ci+1)*bins
+		e.cellHist(img, ci%cw*cs, ci/cw*cs, vecs[s:t], counts[s:t], false)
+		out[ci] = CellBins{Vecs: ptrs[s:t:t], Counts: counts[s:t:t]}
 	}
 	return out
 }
 
 // cellHist computes the histogram of the cell whose top-left pixel is
-// (x0, y0), sampling gradients on the stride lattice. When skipEmpty is
-// set, zero-count bins keep a nil vector instead of a Construct(0)
-// hypervector — the cell-grid path never reads them, and skipping the
-// constructions shaves a measurable slice off level precomputation.
-func (e *Extractor) cellHist(img *imgproc.Image, x0, y0 int, skipEmpty bool) CellBins {
-	c := e.codec
+// (x0, y0), sampling gradients on the stride lattice, into vecs and counts
+// (one entry per bin). A non-empty bin's mean magnitude is written into
+// vecs[b]. An empty bin gets a Construct(0) hypervector, unless skipEmpty
+// is set: then vecs[b] is left untouched — the cell-grid path never reads
+// it, and skipping the constructions shaves a measurable slice off level
+// precomputation. Every temporary lives in the extractor's arena.
+func (e *Extractor) cellHist(img *imgproc.Image, x0, y0 int, vecs []hv.Vector, counts []int, skipEmpty bool) {
+	c, a := e.codec, e.ar
 	st := e.P.Stride
-	votes := make([][]*hv.Vector, e.P.Bins)
+	n := 0 // votes cast
 	for py := st / 2; py < e.P.CellSize; py += st {
 		for px := st / 2; px < e.P.CellSize; px += st {
-			gx, gy := e.GradientHV(img, x0+px, y0+py)
+			e.gradientInto(a.gx, a.gy, img, x0+px, y0+py)
 			e.Pixels++
-			if c.Sign(gx) == 0 && c.Sign(gy) == 0 {
+			if c.Sign(a.gx) == 0 && c.Sign(a.gy) == 0 {
 				continue // statistically flat: no vote
 			}
-			bin := e.BinOf(gx, gy)
-			votes[bin] = append(votes[bin], e.MagnitudeHV(gx, gy))
+			a.voteBin[n] = e.BinOf(a.gx, a.gy)
+			e.magnitudeInto(&a.votes[n], a.gx, a.gy)
+			n++
 		}
 	}
-	cb := CellBins{
-		Vecs:   make([]*hv.Vector, e.P.Bins),
-		Counts: make([]int, e.P.Bins),
-	}
-	for b := 0; b < e.P.Bins; b++ {
-		if len(votes[b]) == 0 {
-			if !skipEmpty {
-				cb.Vecs[b] = c.Construct(0)
+	for b := range counts {
+		nodes := a.nodes[:0]
+		for i, vb := range a.voteBin[:n] {
+			if vb == b {
+				nodes = append(nodes, &a.votes[i])
 			}
-			continue
 		}
-		cb.Vecs[b] = e.treeMean(votes[b])
-		cb.Counts[b] = len(votes[b])
+		counts[b] = len(nodes)
+		switch {
+		case len(nodes) > 0:
+			vecs[b].CopyFrom(e.treeMean(nodes))
+		case !skipEmpty:
+			c.ConstructInto(&vecs[b], 0)
+		}
 	}
-	return cb
 }
 
 // weightScale converts a histogram value (vote count times mean magnitude,

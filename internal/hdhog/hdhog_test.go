@@ -15,6 +15,9 @@ func newTestExtractor(d int, seed uint64) *Extractor {
 	return New(stoch.NewCodec(d, seed), DefaultParams())
 }
 
+// pixel fetches the pixel value v into a fresh vector.
+func (e *Extractor) pixel(v float64) *hv.Vector { return e.pixelInto(hv.New(e.codec.D()), v) }
+
 func TestDefaultsFilled(t *testing.T) {
 	e := New(stoch.NewCodec(1024, 1), Params{})
 	if e.P.CellSize != 8 || e.P.Bins != 9 || e.P.PixelLevels != 256 {

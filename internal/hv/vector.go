@@ -135,6 +135,23 @@ func (v *Vector) Rand(r *RNG) *Vector {
 	return v
 }
 
+// NewSlab returns n zeroed hypervectors of dimensionality d backed by one
+// contiguous word array: two allocations however large n is. Callers that
+// retain many vectors of one lifetime (a row of histogram cells, a scratch
+// arena) use it in place of n calls to New.
+func NewSlab(d, n int) []Vector {
+	if d <= 0 {
+		panic("hv: dimensionality must be positive")
+	}
+	nw := wordsFor(d)
+	words := make([]uint64, n*nw)
+	vs := make([]Vector, n)
+	for i := range vs {
+		vs[i] = Vector{d: d, words: words[i*nw : (i+1)*nw : (i+1)*nw]}
+	}
+	return vs
+}
+
 // NewRand returns a fresh uniform random hypervector.
 func NewRand(r *RNG, d int) *Vector { return New(d).Rand(r) }
 
@@ -205,6 +222,11 @@ func (v *Vector) Select(mask, a, b *Vector) *Vector {
 // Permute sets v to a rotated left by k dimensions (the HDC permutation
 // operation rho) and returns v. v must not alias a. k may be any integer;
 // it is reduced modulo D.
+//
+// Output word j holds the 64 source bits starting at cyclic position
+// (64j - k) mod D, so each word is one funnel shift of at most three source
+// words. The start position advances by 64 per word and wraps with a
+// compare, never a division.
 func (v *Vector) Permute(a *Vector, k int) *Vector {
 	v.mustMatch(a)
 	if v == a {
@@ -215,45 +237,59 @@ func (v *Vector) Permute(a *Vector, k int) *Vector {
 	if k < 0 {
 		k += d
 	}
-	for i := range v.words {
-		v.words[i] = 0
+	s := d - k // first source bit of output word 0
+	if s == d {
+		s = 0
 	}
-	// A bit at source dimension i moves to dimension (i + k) % d.
-	wordShift := k / 64
-	bitShift := uint(k % 64)
-	n := len(a.words)
-	for i, w := range a.words {
-		if w == 0 {
-			continue
+	src, dst := a.words, v.words
+	if d%64 == 0 {
+		n := len(src)
+		sw, sr := s>>6, uint(s&63)
+		if sr == 0 {
+			copy(dst, src[sw:])
+			copy(dst[n-sw:], src[:sw])
+			return v
 		}
-		lo := w << bitShift
-		j := (i + wordShift) % n
-		v.words[j] |= lo
-		if bitShift != 0 {
-			hi := w >> (64 - bitShift)
-			v.words[(j+1)%n] |= hi
-		}
-	}
-	// Wrap bits that spilled past dimension d back to the front. For the
-	// common case d % 64 == 0 the modular word arithmetic above already
-	// wrapped exactly; otherwise fix up the tail.
-	if v.d%64 != 0 {
-		// Rebuild correctly but slowly for non-word-aligned D; correctness
-		// over speed since production dimensionalities are multiples of 64.
-		tmp := New(d)
-		for i := 0; i < d; i++ {
-			if a.words[i/64]>>(uint(i)%64)&1 == 1 {
-				j := i + k
-				if j >= d {
-					j -= d
-				}
-				tmp.words[j/64] |= 1 << (uint(j) % 64)
+		for j := range dst {
+			nx := sw + 1
+			if nx == n {
+				nx = 0
 			}
+			dst[j] = src[sw]>>sr | src[nx]<<(64-sr)
+			sw = nx
 		}
-		copy(v.words, tmp.words)
+		return v
+	}
+	for j := range dst {
+		dst[j] = cyclicWord(src, d, s)
+		s += 64
+		if s >= d {
+			s -= d
+		}
 	}
 	v.maskTail()
 	return v
+}
+
+// cyclicWord returns the 64 bits of the d-bit cyclic string src starting at
+// bit s (0 <= s < d); bit 0 of the result is source bit s.
+func cyclicWord(src []uint64, d, s int) uint64 {
+	w, r := s>>6, uint(s&63)
+	x := src[w] >> r
+	if s+64 <= d {
+		if r != 0 {
+			x |= src[w+1] << (64 - r)
+		}
+		return x
+	}
+	// Fewer than 64 bits remain before the end: take m of them, then
+	// continue from bit 0.
+	m := uint(d - s)
+	if r+m > 64 {
+		x |= src[w+1] << (64 - r)
+	}
+	x &= 1<<m - 1
+	return x | src[0]<<m
 }
 
 // Hamming returns the number of dimensions at which v and o differ.

@@ -242,6 +242,49 @@ func TestPermuteExactBits(t *testing.T) {
 	}
 }
 
+// permuteRef is the bit-by-bit definition of rho_k: source dimension i
+// moves to (i + k) mod d.
+func permuteRef(a *Vector, k int) *Vector {
+	d := a.D()
+	out := New(d)
+	for i := 0; i < d; i++ {
+		out.SetBit(((i+k)%d+d)%d, a.Bit(i))
+	}
+	return out
+}
+
+func TestPermuteMatchesBitReference(t *testing.T) {
+	r := NewRNG(14)
+	for _, d := range []int{1, 37, 63, 64, 65, 100, 128, 130, 1000, 2048} {
+		a := NewRand(r, d)
+		for _, k := range []int{0, 1, 63, 64, 65, d - 1, -1, 3*d + 5} {
+			got := New(d)
+			// Dirty destination: Permute must overwrite every word.
+			for i := range got.words {
+				got.words[i] = ^uint64(0)
+			}
+			got.Permute(a, k)
+			if want := permuteRef(a, k); !got.Equal(want) {
+				t.Fatalf("d=%d k=%d: Permute differs from the bit reference", d, k)
+			}
+			if got.words[len(got.words)-1]&^got.tailMask() != 0 {
+				t.Fatalf("d=%d k=%d: tail bits past D set", d, k)
+			}
+		}
+	}
+}
+
+func TestNewSlab(t *testing.T) {
+	vs := NewSlab(100, 3)
+	if len(vs) != 3 || vs[0].D() != 100 {
+		t.Fatalf("slab shape %d x %d", len(vs), vs[0].D())
+	}
+	vs[0].Not(&vs[0])
+	if vs[1].OnesCount() != 0 || vs[0].OnesCount() != 100 {
+		t.Fatal("slab vectors share words")
+	}
+}
+
 func TestPermuteNearOrthogonalToSource(t *testing.T) {
 	r := NewRNG(12)
 	a := NewRand(r, testD)

@@ -114,6 +114,36 @@ func TestSqrtMarginStdSanity(t *testing.T) {
 	}
 }
 
+// TestSqrtMarginStdMatchesMonteCarlo checks the square-root error model
+// against measurement across values and dimensionalities: the RMS error
+// of Decode(Sqrt(Construct(a))) around sqrt(a) must sit within a small
+// band of SqrtMarginStd(a) everywhere, so the model's 1/sqrt(D) scaling
+// and its 1/sqrt(a) slope are both confirmed, and the search must be
+// unbiased to well within one predicted standard deviation. This is the
+// reference any change to the search's termination rule is held to.
+func TestSqrtMarginStdMatchesMonteCarlo(t *testing.T) {
+	const trials = 200
+	for _, d := range []int{1024, 4096, 16384} {
+		c := NewCodec(d, 68+uint64(d))
+		for _, a := range []float64{0.1, 0.25, 0.5, 0.8} {
+			root := math.Sqrt(a)
+			pred := c.SqrtMarginStd(a)
+			var bias float64
+			rms := measureStd(trials, root, func() float64 {
+				v := c.Decode(c.Sqrt(c.Construct(a)))
+				bias += (v - root) / trials
+				return v
+			})
+			if rms < 0.6*pred || rms > 1.6*pred {
+				t.Errorf("D=%d a=%v: measured sqrt RMS error %.4f vs modelled %.4f", d, a, rms, pred)
+			}
+			if math.Abs(bias) > 0.5*pred {
+				t.Errorf("D=%d a=%v: sqrt search bias %.4f exceeds half the modelled std %.4f", d, a, bias, pred)
+			}
+		}
+	}
+}
+
 func TestRecommendD(t *testing.T) {
 	if d := RecommendD(0.016); d != 4096 {
 		t.Fatalf("RecommendD(0.016) = %d, want 4096", d)

@@ -57,6 +57,25 @@ awk '
         }
     }
 ' "$out/BENCH_detect.json"
+# Level-grid preparation runs on a per-extractor scratch arena and stores
+# cells in per-row slabs, so a whole sweep allocates a few times per grid
+# row rather than per gradient site. Both full-sweep rows must stay at or
+# under 10 allocs/window (~3412 at -quick before the arena).
+awk '
+    /"config":/            { cfg = $2; gsub(/[",]/, "", cfg) }
+    /"allocs_per_window":/ { gsub(/,/, "", $2); apw[cfg] = $2 + 0 }
+    END {
+        n = split("cellgrid fused-sweep", rows, " ")
+        for (i = 1; i <= n; i++) {
+            if (!(rows[i] in apw)) {
+                printf "detect bench missing %s config\n", rows[i] > "/dev/stderr"; exit 1
+            }
+            if (apw[rows[i]] > 10) {
+                printf "%s allocs/window %.2f exceeds ceiling 10\n", rows[i], apw[rows[i]] > "/dev/stderr"; exit 1
+            }
+        }
+    }
+' "$out/BENCH_detect.json"
 rm -rf "$out"
 
 echo "== fault sweep smoke =="
