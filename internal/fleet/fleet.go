@@ -295,6 +295,27 @@ func (rp *replica) report(success bool, breakAfter int, now time.Time) {
 	}
 }
 
+// settle consumes the outcomes of n attempts still in flight when their
+// request was answered (a losing hedge, a retry racing the deadline). It
+// returns each one's inflight slot, closes a half-open breaker whose trial
+// succeeded, and otherwise frees the trial slot without judging the
+// replica: the router cancelled that attempt, so its failure says nothing
+// about the replica. Without it a half-open trial lost to a hedge would
+// hold the trial slot, and the replica out of rotation, for good.
+func settle(results <-chan outcome, n, breakAfter int) {
+	for ; n > 0; n-- {
+		out := <-results
+		out.rp.inflight.Add(-1)
+		if out.usable() {
+			out.rp.report(true, breakAfter, time.Now())
+			continue
+		}
+		out.rp.bmu.Lock()
+		out.rp.brTrial = false
+		out.rp.bmu.Unlock()
+	}
+}
+
 func (rp *replica) breakerState() string {
 	rp.bmu.Lock()
 	defer rp.bmu.Unlock()
@@ -630,17 +651,24 @@ func (r *Router) forward(w http.ResponseWriter, req *http.Request, path string, 
 		}
 	}()
 	launches, outstanding := 0, 0
+	defer func() {
+		if outstanding > 0 {
+			// Every attempt sends exactly one outcome, and the deferred
+			// cancels end these promptly, so settle returns.
+			go settle(results, outstanding, r.cfg.BreakAfter)
+		}
+	}()
 
 	launch := func(hedge bool) bool {
+		remaining := time.Until(deadlineOf(ctx))
+		if remaining <= 0 {
+			return false
+		}
 		rp := r.pick(tried)
 		if rp == nil {
 			return false
 		}
 		tried[rp] = true
-		remaining := time.Until(deadlineOf(ctx))
-		if remaining <= 0 {
-			return false
-		}
 		// Deadline propagation: tell the replica how much budget is left,
 		// shaved so its reply can still cross the wire inside ours.
 		attemptBudget := remaining - remaining/10

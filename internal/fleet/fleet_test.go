@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -425,5 +426,36 @@ func TestRouterHedging(t *testing.T) {
 	}
 	if obsHedges.Value() == before {
 		t.Fatal("no hedge ever fired against the laggy replica")
+	}
+}
+
+// TestSettleReleasesAbandonedAttempts pins the accounting of attempts still
+// in flight when their request was answered: each returns its inflight
+// slot, a half-open trial that succeeded closes the breaker, and one the
+// router cancelled frees the trial slot instead of holding the replica
+// out of rotation.
+func TestSettleReleasesAbandonedAttempts(t *testing.T) {
+	cancelled, answered := &replica{}, &replica{}
+	for _, rp := range []*replica{cancelled, answered} {
+		rp.healthy.Store(true)
+		rp.brState, rp.brOpenedAt = brOpen, time.Now().Add(-time.Hour)
+		if !rp.acquire(time.Now(), time.Second) || rp.brState != brHalfOpen {
+			t.Fatal("expired open breaker did not hand out a half-open trial")
+		}
+		rp.inflight.Add(1)
+	}
+	results := make(chan outcome, 2)
+	results <- outcome{rp: cancelled, err: context.Canceled}
+	results <- outcome{rp: answered, status: http.StatusOK}
+	settle(results, 2, 3)
+	if cancelled.inflight.Load() != 0 || answered.inflight.Load() != 0 {
+		t.Fatal("settled attempts kept their inflight slots")
+	}
+	if !cancelled.available(time.Now(), time.Second) || cancelled.breakerState() != "half-open" {
+		t.Fatalf("cancelled trial: breaker %s, available %v; want a free half-open trial",
+			cancelled.breakerState(), cancelled.available(time.Now(), time.Second))
+	}
+	if answered.breakerState() != "closed" {
+		t.Fatalf("successful trial left the breaker %s", answered.breakerState())
 	}
 }
